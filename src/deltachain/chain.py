@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import TOL, FiniteMetricSystem, FiniteTrajectory
+from .core import TOL, FiniteMetricSystem
 from .errors import NoChain
 
 
@@ -94,8 +94,8 @@ def mixing_certificate(g):
     """Certify chain mixing of the graph; never raises.
 
     For a primitive graph the mixing constant is found by scanning boolean
-    matrix powers (dense multiply-and-test; desk-scale sizes make this the
-    simplest correct choice).
+    matrix powers in the boolean semiring: each product is taken in float64
+    (exact path counts up to 2^53, on BLAS) and thresholded at zero.
     """
     adj = g.adjacency
     n = g.n
@@ -106,12 +106,12 @@ def mixing_certificate(g):
     period = _graph_period(adj)
     if period != 1:
         return MixingCertificate(True, period, None)
-    a = adj.astype(np.uint8)
-    power = a.copy()
+    a = adj.astype(np.float64)
+    power = a
     m = 1
     bound = wielandt_bound(n)
     while not power.all():
-        power = np.minimum(power @ a, 1)
+        power = (power @ a > 0).astype(np.float64)
         m += 1
         if m > bound:  # unreachable for primitive graphs (Wielandt)
             raise AssertionError("primitive graph exceeded the Wielandt bound")

@@ -16,11 +16,11 @@ import json
 import sys as _sys
 
 from .builders import BUILTIN_SYSTEMS
-from .chain import build_chain_graph, mixing_certificate, to_adjacency_lines, to_dot
+from .chain import build_chain_graph, to_adjacency_lines, to_dot
 from .core import FiniteTrajectory, IntervalSegment, load_system, system_to_dict
 from .errors import DeltachainError, NotMixing, SchemaError
 from .measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_periodic
-from .pipeline import density_demo, emit_report, load_config, report_to_dict, run_pipeline
+from .pipeline import density_demo, emit_report, load_config, run_pipeline
 from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
 

@@ -11,13 +11,13 @@ bound pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .chain import ChainGraph, finite_chain, mixing_certificate
+from .chain import finite_chain, mixing_certificate
 from .core import TOL
 from .errors import (
     DegenerateWeights,
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 MARGINAL_TOL = 1e-9
+_GATHER_FLOATS = 1 << 21  # bound on one pi_bar_matrices temporary (16 MB)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class PeriodicOrbitMeasure:
     """Uniform measure on the shift orbit of a periodic id sequence.
 
     The stored word is primitive and rotated to its lexicographically least
-    form, so equal orbits compare equal.
+    form, so equal orbits compare equal.  Words of distinct letters that start
+    at their least letter (simple cycles) already have that form.
     """
 
     word: tuple
@@ -75,7 +77,9 @@ class PeriodicOrbitMeasure:
         word = tuple(int(v) for v in self.word)
         if not word:
             raise SchemaError("/word", "word must be non-empty")
-        object.__setattr__(self, "word", _least_rotation(_primitive_root(word)))
+        if word[0] != min(word) or len(set(word)) != len(word):
+            word = _least_rotation(_primitive_root(word))
+        object.__setattr__(self, "word", word)
 
     @property
     def period(self):
@@ -205,34 +209,63 @@ def rho_bar_periodic(pm, qm, cost):
     return best_value, best_phase
 
 
-def pi_bar_periodic(pm, qm, sys, radius):
-    """Phase-optimal average of product-metric distances between the orbits.
+def _by_period(orbits):
+    """{period: (positions in ``orbits``, stacked words)} of periodic measures."""
+    groups = {}
+    for i, pm in enumerate(orbits):
+        groups.setdefault(pm.period, []).append((i, pm.word))
+    return {p: tuple(np.array(col) for col in zip(*group)) for p, group in groups.items()}
 
-    Periodic words give exact coverage at every shift; each term below the
-    truncation tail 1/(radius+2) is replaced by that upper bound, and the
-    result carries the tail as its error bar.  Returns (value, phase,
-    error_bar).
+
+def pi_bar_matrices(set_a, set_b, sys, radius):
+    """pi_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
+
+    Pairs are grouped by period (p, q).  Each group gathers the per-phase
+    tensor of truncated product-metric terms (row, col, phase, shift, k) in
+    chunks of rows, so the temporary stays under ``_GATHER_FLOATS``.
+    Returns three dense (len(set_a), len(set_b)) matrices: the pi_bar value
+    (phases scanned in order; a later phase wins only when lower by more
+    than TOL), the phase that attains it, and the phase-0 value.
     """
-    wp = np.asarray(pm.word)
-    wq = np.asarray(qm.word)
-    p, q = len(wp), len(wq)
-    g = math.gcd(p, q)
-    L = math.lcm(p, q)
     K = int(radius)
     tail = 1.0 / (K + 2)
     ks = np.arange(-K, K + 1)
     weights = 1.0 / (np.abs(ks) + 1.0)
-    t = np.arange(L)
-    best_value, best_phase = np.inf, 0
-    for a in range(g):
-        idx_p = (a + t[:, None] + ks[None, :]) % p
-        idx_q = (t[:, None] + ks[None, :]) % q
-        terms = np.minimum(sys.dist[wp[idx_p], wq[idx_q]], weights[None, :])
-        per_shift = np.maximum(terms.max(axis=1), tail)
-        value = float(per_shift.mean())
-        if value < best_value - TOL:
-            best_value, best_phase = value, a
-    return best_value, best_phase, tail
+    value, aligned = np.empty((2, len(set_a), len(set_b)))
+    phase = np.zeros(value.shape, dtype=int)
+    groups_b = _by_period(set_b)
+    for p, (rows, words_a) in _by_period(set_a).items():
+        for q, (cols, words_b) in groups_b.items():
+            g, L = math.gcd(p, q), math.lcm(p, q)
+            shift = np.arange(L)[:, None] + ks[None, :]
+            idx_a = words_a[:, (np.arange(g)[:, None, None] + shift) % p]
+            idx_b = words_b[:, shift % q][None, :, None]
+            step = max(1, _GATHER_FLOATS // (len(cols) * p * q * (2 * K + 1)))
+            for lo in range(0, len(rows), step):
+                terms = sys.dist[idx_a[lo : lo + step, None], idx_b]
+                per_shift = np.maximum(np.minimum(terms, weights, out=terms).max(axis=-1), tail)
+                # contiguous last axis: the pairwise sum of a 1-D mean, bit for bit
+                by_phase = np.ascontiguousarray(per_shift).mean(axis=-1)
+                best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
+                for a in range(1, g):
+                    better = by_phase[..., a] < best - TOL
+                    best = np.where(better, by_phase[..., a], best)
+                    arg[better] = a
+                block = np.ix_(rows[lo : lo + step], cols)
+                value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
+    return value, phase, aligned
+
+
+def pi_bar_periodic(pm, qm, sys, radius):
+    """Phase-optimal average of product-metric distances between two orbits.
+
+    Periodic words give exact coverage at every shift; each term below the
+    truncation tail 1/(radius+2) is replaced by that upper bound, and the
+    result carries the tail as its error bar.  The singleton case of
+    :func:`pi_bar_matrices`.  Returns (value, phase, error_bar).
+    """
+    value, phase, _ = pi_bar_matrices([pm], [qm], sys, radius)
+    return float(value[0, 0]), int(phase[0, 0]), 1.0 / (int(radius) + 2)
 
 
 def rho_bar_markov_upper(mu, nu, cost):

@@ -6,12 +6,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math as _math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
@@ -24,8 +21,8 @@ from .measures import (
     ergodic_measures_of_graph,
     hausdorff_distance,
     mixture_cylinders,
+    pi_bar_matrices,
     pi_bar_mixture_upper,
-    pi_bar_periodic,
     sigmund_approximation,
     weakstar_proxy,
 )
@@ -191,27 +188,6 @@ def _level_entry(sys, n, cfg):
     return graph, cert, measures, entry
 
 
-def _aligned_pi_average(pm, qm, sys, radius):
-    """Finite-horizon dynamical Besicovitch value for the phase-0 alignment.
-
-    pi_bar minimizes over phases; this is the plain a = 0 average, so it
-    dominates pi_bar and keeps the cross-level consistency check one-sided.
-    """
-    wp = np.asarray(pm.word)
-    wq = np.asarray(qm.word)
-    p, q = len(wp), len(wq)
-    L = _math.lcm(p, q)
-    K = int(radius)
-    tail = 1.0 / (K + 2)
-    ks = np.arange(-K, K + 1)
-    weights = 1.0 / (np.abs(ks) + 1.0)
-    t = np.arange(L)
-    idx_p = (t[:, None] + ks[None, :]) % p
-    idx_q = (t[:, None] + ks[None, :]) % q
-    terms = np.minimum(sys.dist[wp[idx_p], wq[idx_q]], weights[None, :])
-    return float(np.maximum(terms.max(axis=1), tail).mean())
-
-
 def _stratified(items, cap):
     """Deterministic evenly spaced subsample of a shortest-first list.
 
@@ -250,23 +226,14 @@ def run_pipeline(cfg):
                 continue
             coarse, coarse_full = _stratified(e_coarse, cfg.hausdorff_sample)
             fine, fine_full = _stratified(e_fine, cfg.hausdorff_sample)
-            cache = {}
-
-            def dist(a, b):
-                key = (a.word, b.word)
-                if key not in cache:
-                    cache[key] = pi_bar_periodic(a, b, sys, cfg.pi_radius)[0]
-                return cache[key]
-
-            value = hausdorff_distance(coarse, fine, dist)
-            # one-sided consistency: phase-aligned finite-horizon Besicovitch
-            # values dominate pi_bar pairwise, so their Hausdorff value
-            # dominates the reported one (same sampling on both sides).
-            bound = hausdorff_distance(
-                coarse,
-                fine,
-                lambda a, b: _aligned_pi_average(a, b, sys, cfg.pi_radius),
-            )
+            best, _, aligned = pi_bar_matrices(coarse, fine, sys, cfg.pi_radius)
+            best, aligned = best.tolist(), aligned.tolist()
+            rows, cols = range(len(coarse)), range(len(fine))
+            value = hausdorff_distance(rows, cols, lambda i, j: best[i][j])
+            # one-sided consistency: the phase-0 value dominates pi_bar
+            # pairwise, so its Hausdorff value dominates the reported one
+            # (same sampling on both sides).
+            bound = hausdorff_distance(rows, cols, lambda i, j: aligned[i][j])
             exhaustive = coarse_full and fine_full
             report.cross_level.append(
                 {
@@ -282,7 +249,7 @@ def run_pipeline(cfg):
         level = cfg.density_level if cfg.density_level is not None else cfg.n_max
         try:
             report.density = density_demo(cfg, level, sys=sys, graph=graphs.get(level))
-        except (NotMixing, DegenerateWeights) as exc:
+        except (NotMixing, DegenerateWeights, SchemaError) as exc:
             report.errors.append({"stage": "density_demo", "reason": str(exc)})
     return report
 

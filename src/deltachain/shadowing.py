@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, FiniteTrajectory, pi_distance
+from .core import TOL, pi_distance
 from .errors import BadHorizon, InsufficientWindow
 
 

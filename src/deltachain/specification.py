@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainGraph, MixingCertificate, finite_chain, is_delta_chain, mixing_certificate
-from .core import FiniteTrajectory, IntervalSegment, window_check, window_radius
+from .chain import finite_chain, is_delta_chain, mixing_certificate
+from .core import FiniteTrajectory, window_check, window_radius
 from .errors import (
     InsufficientMargin,
     InsufficientSpacing,

@@ -110,6 +110,19 @@ class TestMixingCertificate:
         assert not cert.strongly_connected
         assert cert.mixing_constant is None
 
+    def test_path_counts_past_256_do_not_wrap(self):
+        # at n = 640 a path count of 256 used to wrap to 0 in uint8 and
+        # report M = 3; float path counts (scaled by 1/n per step, so they
+        # stay finite and positive) give the least all-positive power
+        g = build_chain_graph(circle_doubling(640), 0.3)
+        a = g.adjacency.astype(float)
+        power, oracle = a, 1
+        while not (power > 0).all():
+            power = power @ a / g.n
+            oracle += 1
+        assert oracle == 2
+        assert mixing_certificate(g).mixing_constant == oracle
+
     def test_wielandt_bound_respected(self):
         for seed in range(10):
             sys = random_metric(11, seed=100 + seed)

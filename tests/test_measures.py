@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain, mixing_certificate
-from deltachain.core import FiniteTrajectory
+from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
 from deltachain.errors import DegenerateWeights, EmptySet, SchemaError
 from deltachain.measures import (
     FiniteMeasure,
@@ -17,6 +18,7 @@ from deltachain.measures import (
     ergodic_measures_of_graph,
     hausdorff_distance,
     mixture_cylinders,
+    pi_bar_matrices,
     pi_bar_mixture_upper,
     pi_bar_periodic,
     rho_bar_markov_upper,
@@ -105,6 +107,25 @@ class TestPeriodicOrbitMeasure:
         m = PeriodicOrbitMeasure((0, 0, 2))
         marg = m.length_one_marginal(4)
         assert marg.weights.tolist() == pytest.approx([2 / 3, 0.0, 1 / 3, 0.0])
+
+    def test_fast_path_matches_canonical_form(self):
+        rng = np.random.default_rng(31)
+        words = []
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            words.append(tuple(int(v) for v in rng.integers(0, 4, n)))  # repeated letters
+            base = tuple(int(v) for v in rng.integers(0, 5, int(rng.integers(1, 4))))
+            words.append(base * int(rng.integers(2, 4)))  # non-primitive
+            distinct = tuple(int(v) for v in rng.permutation(9)[:n])
+            words.append(distinct)  # distinct letters, any starting letter
+            i = distinct.index(min(distinct))
+            words.append(distinct[i:] + distinct[:i])  # distinct, least letter first
+        fast = [w for w in words if w[0] == min(w) and len(set(w)) == len(w)]
+        assert 0 < len(fast) < len(words)
+        for w in words:
+            assert PeriodicOrbitMeasure(w).word == measures._least_rotation(
+                measures._primitive_root(w)
+            )
 
 
 class TestMarkovMeasure:
@@ -246,6 +267,109 @@ class TestPiBarPeriodic:
                 # larger radius only refines terms that sat at the old tail
                 assert value <= prev + 1e-12
             prev = value
+
+
+def pi_bar_loop_oracle(wp, wq, dist, radius):
+    """Independent reference for pi_bar between two periodic words.
+
+    Writes both periodic sequences out explicitly, takes the windowed
+    product-metric term at every shift of one joint period and averages;
+    phase a shifts the first sequence by a.  Phases are scanned in order and
+    a later phase wins only when lower by more than TOL.  Returns (value,
+    phase, phase-0 value).
+    """
+    p, q = len(wp), len(wq)
+    joint = p * q // math.gcd(p, q)
+    base = joint * (radius // joint + 1)  # a multiple of both periods, > radius
+    x = list(wp) * ((base + p + joint + radius) // p + 1)
+    y = list(wq) * ((base + joint + radius) // q + 1)
+    tail = 1.0 / (radius + 2)
+    values = []
+    for a in range(math.gcd(p, q)):
+        per_shift = []
+        for t in range(joint):
+            term = tail
+            for k in range(-radius, radius + 1):
+                d = float(dist[x[base + a + t + k], y[base + t + k]])
+                term = max(term, min(d, 1.0 / (abs(k) + 1)))
+            per_shift.append(term)
+        values.append(math.fsum(per_shift) / joint)
+    best, phase = math.inf, 0
+    for a, value in enumerate(values):
+        if value < best - TOL:
+            best, phase = value, a
+    return best, phase, values[0]
+
+
+class TestPiBarMatrices:
+    def sets(self, rng, n_points):
+        def orbit(length):
+            return PeriodicOrbitMeasure(tuple(int(v) for v in rng.integers(0, n_points, length)))
+
+        # every period 1-6 appears; random words add repeated letters
+        set_a = [PeriodicOrbitMeasure(tuple(range(p))) for p in range(1, 7)]
+        set_a += [orbit(int(rng.integers(1, 7))) for _ in range(6)]
+        set_b = [PeriodicOrbitMeasure(tuple(range(n_points - p, n_points))) for p in (2, 5, 6)]
+        set_b += [orbit(int(rng.integers(1, 7))) for _ in range(5)]
+        return set_a, set_b
+
+    @pytest.mark.parametrize("radius", [0, 1, 6, 8])
+    def test_matches_loop_oracle(self, radius):
+        sys = random_metric(8, seed=41 + radius)
+        set_a, set_b = self.sets(np.random.default_rng(radius), 8)
+        assert {pm.period for pm in set_a} == set(range(1, 7))
+        value, phase, aligned = pi_bar_matrices(set_a, set_b, sys, radius)
+        assert value.shape == phase.shape == aligned.shape == (len(set_a), len(set_b))
+        for i, pm in enumerate(set_a):
+            for j, qm in enumerate(set_b):
+                ref_value, ref_phase, ref_aligned = pi_bar_loop_oracle(
+                    pm.word, qm.word, sys.dist, radius
+                )
+                assert abs(value[i, j] - ref_value) <= 1e-12
+                assert phase[i, j] == ref_phase
+                assert abs(aligned[i, j] - ref_aligned) <= 1e-12
+
+    def test_tie_rule_keeps_earlier_phase(self):
+        # phase 1 is lower than phase 0 by less than TOL, so phase 0 stays
+        near = 0.7 - 0.5 * TOL
+        dist = np.array(
+            [
+                [0.0, 0.5, 0.7, near],
+                [0.5, 0.0, near, 0.7],
+                [0.7, near, 0.0, 0.5],
+                [near, 0.7, 0.5, 0.0],
+            ]
+        )
+        sys = FiniteMetricSystem(("a", "b", "c", "d"), dist, (1, 0, 3, 2))
+        pm, qm = PeriodicOrbitMeasure((0, 1)), PeriodicOrbitMeasure((2, 3))
+        value, phase, aligned = pi_bar_matrices([pm], [qm], sys, 0)
+        assert pi_bar_loop_oracle(pm.word, qm.word, dist, 0) == (0.7, 0, 0.7)
+        assert (value[0, 0], phase[0, 0], aligned[0, 0]) == (0.7, 0, 0.7)
+
+    def test_phases_matter(self):
+        # a nonzero best phase occurs, so the phase scan is really exercised
+        sys = random_metric(8, seed=47)
+        set_a, set_b = self.sets(np.random.default_rng(7), 8)
+        value, phase, aligned = pi_bar_matrices(set_a, set_b, sys, 6)
+        assert phase.max() > 0
+        assert np.all(value <= aligned)
+        assert np.any(value < aligned)
+
+    def test_chunked_gather_identical(self, monkeypatch):
+        sys = random_metric(8, seed=43)
+        set_a, set_b = self.sets(np.random.default_rng(3), 8)
+        whole = pi_bar_matrices(set_a, set_b, sys, 6)
+        monkeypatch.setattr(measures, "_GATHER_FLOATS", 1)  # one row per gather
+        for full, chunked in zip(whole, pi_bar_matrices(set_a, set_b, sys, 6)):
+            assert np.array_equal(full, chunked)
+
+    def test_singleton_is_pi_bar_periodic(self):
+        sys = random_metric(8, seed=45)
+        set_a, set_b = self.sets(np.random.default_rng(5), 8)
+        value, phase, _ = pi_bar_matrices(set_a, set_b, sys, 6)
+        for i, pm in enumerate(set_a):
+            for j, qm in enumerate(set_b):
+                assert pi_bar_periodic(pm, qm, sys, 6) == (value[i, j], phase[i, j], 1.0 / 8)
 
 
 class TestRhoBarMarkovUpper:

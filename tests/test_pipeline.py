@@ -121,6 +121,18 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert any(row["sampled"] for row in report.cross_level)
 
+    def test_non_cycle_target_recorded_not_raised(self):
+        cfg = small_config(
+            n_max=5,
+            target=[{"word": [0, 7], "weight": 1.0}],  # 0 -> 7 is no edge at 1/5
+        )
+        report = run_pipeline(cfg)
+        assert len(report.levels) == 5 and len(report.cross_level) == 10
+        assert report.density is None
+        assert len(report.errors) == 1
+        assert report.errors[0]["stage"] == "density_demo"
+        assert "/target/0/word" in report.errors[0]["reason"]
+
     def test_provenance_hash_stable(self):
         a = run_pipeline(small_config()).provenance["config_hash"]
         b = run_pipeline(small_config()).provenance["config_hash"]
