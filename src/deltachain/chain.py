@@ -9,13 +9,12 @@ used by the specification construction.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import TOL, FiniteMetricSystem
 from .errors import NoChain
@@ -44,6 +43,11 @@ class ChainGraph:
     def edge_count(self):
         return int(np.count_nonzero(self.adjacency))
 
+    @cached_property
+    def certificate(self):
+        """:func:`mixing_certificate` of this graph, computed on first use."""
+        return mixing_certificate(self)
+
 
 @dataclass(frozen=True)
 class MixingCertificate:
@@ -69,21 +73,14 @@ def build_chain_graph(sys, delta):
 
 
 def _graph_period(adj):
-    """gcd of cycle lengths of a strongly connected graph, via BFS levels."""
-    n = adj.shape[0]
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    queue = deque([0])
-    g = 0
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(adj[u])[0]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-            else:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
+    """gcd of cycle lengths of a strongly connected graph, via BFS levels.
+
+    Every edge u -> v closes a cycle-length difference level(u) + 1 - level(v)
+    against the BFS tree from vertex 0; the period is their gcd.
+    """
+    level = shortest_path(csr_matrix(adj), unweighted=True, indices=0).astype(np.int64)
+    u, v = np.nonzero(adj)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def wielandt_bound(n):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .chain import finite_chain, mixing_certificate
+from .chain import finite_chain
 from .core import TOL
 from .errors import (
     DegenerateWeights,
@@ -31,6 +31,7 @@ from .errors import (
 
 MARGINAL_TOL = 1e-9
 _GATHER_FLOATS = 1 << 21  # bound on one pi_bar_matrices temporary (16 MB)
+_FRONTIER_CELLS = 1 << 18  # bound on one simple_cycle_words block (2 MB of ids)
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,11 @@ def w1_distance(mu, nu, cost):
     n1, n2 = cost.shape
     if a.shape != (n1,) or b.shape != (n2,):
         raise SchemaError("/cost", "cost shape must match the two marginals")
-    rows = []
-    cols = []
-    data = []
-    for i in range(n1):
-        for j in range(n2):
-            rows.append(i)
-            cols.append(i * n2 + j)
-            data.append(1.0)
-    for j in range(n2 - 1):  # final column constraint is redundant
-        for i in range(n1):
-            rows.append(n1 + j)
-            cols.append(i * n2 + j)
-            data.append(1.0)
-    a_eq = coo_matrix((data, (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
+    # row sums of the plan, then column sums; the final column constraint is redundant
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.repeat(n1 + np.arange(n2 - 1), n1)])
+    by_column = np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)
+    cols = np.concatenate([np.arange(n1 * n2), by_column.ravel()])
+    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
     b_eq = np.concatenate([a, b[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status == 1:
@@ -368,64 +360,71 @@ def hausdorff_distance(set_a, set_b, dist):
     return max(forward, backward)
 
 
-def _bounded_simple_cycles(adjacency, max_period, limit):
+def simple_cycle_words(adjacency, max_period, limit):
     """Simple cycles of length <= max_period, shortest first then lexicographic.
 
-    Each cycle is reported once, rooted at its minimal vertex.  Enumeration
-    stops as soon as ``limit`` cycles were collected plus one more (to detect
-    truncation).
+    Each cycle is reported once, rooted at its least vertex, as a row of an
+    int array; the result holds one (count, k) array per length k = 1 ..
+    max_period.  Simple paths are extended a block of rows at a time by
+    successors greater than the root and off the path; row-major
+    ``np.nonzero`` keeps each depth in lexicographic order, and blocks are
+    expanded depth-first under ``_FRONTIER_CELLS``, so at most one block per
+    depth is alive (cf. Johnson, SIAM J. Comput. 4 (1975) 77-84, for the
+    rooted-at-least-vertex scheme).  Only the first ``limit`` cycles are
+    returned, with a truncation flag when more exist.  Returns (words,
+    truncated).
     """
-    n = adjacency.shape[0]
-    succ = [sorted(int(v) for v in np.nonzero(adjacency[u])[0]) for u in range(n)]
-    found = []
-    for length in range(1, max_period + 1):
-        for s in range(n):
-            if length == 1:
-                if adjacency[s, s]:
-                    found.append((s,))
-                if len(found) > limit:
-                    return found, True
-                continue
-            # DFS over simple paths from s using only vertices > s
-            stack = [(s, iter(succ[s]))]
-            path = [s]
-            on_path = {s}
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for v in it:
-                    if v <= s or v in on_path:
-                        if v == s and len(path) == length and adjacency[node, s]:
-                            found.append(tuple(path))
-                            if len(found) > limit:
-                                return found, True
-                        continue
-                    if len(path) < length:
-                        path.append(v)
-                        on_path.add(v)
-                        stack.append((v, iter(succ[v])))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    if len(path) > 1:
-                        on_path.discard(path.pop())
-    return found, False
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[0]
+    ids = np.arange(n)
+    found = [[] for _ in range(max_period)]
+    counts = np.zeros(max_period, dtype=np.int64)
+    longest = max_period  # longest length still needed for the first limit + 1
+    stack = [(ids[:, None], 0)]
+    while stack:
+        paths, lo = stack[-1]
+        depth = paths.shape[1]
+        if depth > longest or lo >= len(paths):
+            stack.pop()
+            continue
+        step = max(1, _FRONTIER_CELLS // (max(n, 1) * (depth + 1)))
+        block = paths[lo : lo + step]
+        stack[-1] = (paths, lo + step)
+        closed = block[adj[block[:, -1], block[:, 0]]]
+        if len(closed):
+            found[depth - 1].append(closed)
+            counts[depth - 1] += len(closed)
+            over = np.nonzero(np.cumsum(counts[:longest]) > limit)[0]
+            if len(over):
+                longest = int(over[0])  # lengths past the first overflow are not needed
+        if depth < longest:
+            keep = adj[block[:, -1]] & (ids > block[:, :1])
+            rows = np.arange(len(block))
+            for i in range(1, depth):
+                keep[rows, block[:, i]] = False
+            parent, succ = np.nonzero(keep)
+            stack.append((np.column_stack((block[parent], succ)), 0))
+    words, room = [], max(limit, 0)
+    for k in range(1, max_period + 1):
+        arr = np.concatenate(found[k - 1]) if found[k - 1] else np.empty((0, k), dtype=int)
+        words.append(arr[:room])
+        room -= len(words[-1])
+    return words, bool(counts.sum() > limit)
 
 
 def ergodic_measures_of_graph(g, max_period, cap=10_000):
     """Periodic-orbit measures carried by the simple cycles of a chain graph.
 
-    Enumerates simple cycles up to ``max_period``; if more than ``cap`` exist
-    the deterministic shortest-first, lexicographic prefix is returned with a
-    truncation flag.  Returns (measures, truncated).
+    A thin wrapper over :func:`simple_cycle_words`: one measure per simple
+    cycle up to ``max_period``, shortest first, then lexicographic; if more
+    than ``cap`` exist the first ``cap`` are returned with a truncation flag.
+    Callers that only count cycles or sample a few of them should use the
+    word arrays directly.  Returns (measures, truncated).
     """
     if max_period < 1:
         raise SchemaError("/max_period", "max_period must be >= 1")
-    words, truncated = _bounded_simple_cycles(g.adjacency, max_period, cap)
-    if truncated:
-        words = words[:cap]
-    return [PeriodicOrbitMeasure(w) for w in words], truncated
+    words, truncated = simple_cycle_words(g.adjacency, max_period, cap)
+    return [PeriodicOrbitMeasure(tuple(w)) for arr in words for w in arr.tolist()], truncated
 
 
 def sigmund_approximation(target, g, block_scale):
@@ -453,10 +452,9 @@ def sigmund_approximation(target, g, block_scale):
         )
     if len(components) == 1:
         return components[0][0]
-    cert = mixing_certificate(g)
-    if cert.mixing_constant is None:
+    m = g.certificate.mixing_constant
+    if m is None:
         raise NotMixing("gluing mixture components requires a primitive graph")
-    m = cert.mixing_constant
     blocks = [list(pm.word) * r for (pm, _), r in zip(components, reps)]
     word = []
     for i, block in enumerate(blocks):

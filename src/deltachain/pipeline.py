@@ -10,20 +10,22 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
-from .chain import build_chain_graph, mixing_certificate
+from .chain import build_chain_graph
 from .core import load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     PeriodicOrbitMeasure,
     empirical_measure,
-    ergodic_measures_of_graph,
     hausdorff_distance,
     mixture_cylinders,
     pi_bar_matrices,
     pi_bar_mixture_upper,
     sigmund_approximation,
+    simple_cycle_words,
     weakstar_proxy,
 )
 from .specification import spacing_constant
@@ -166,7 +168,7 @@ def _config_hash(cfg):
 def _level_entry(sys, n, cfg):
     delta = 1.0 / n
     graph = build_chain_graph(sys, delta)
-    cert = mixing_certificate(graph)
+    cert = graph.certificate
     entry = {
         "n": n,
         "delta": delta,
@@ -180,24 +182,35 @@ def _level_entry(sys, n, cfg):
         for eps in cfg.eps_list:
             n_margin, k = spacing_constant(eps, cert)
             entry["spacing_constants"][str(eps)] = {"N": n_margin, "k": k}
-    measures, truncated = ergodic_measures_of_graph(
-        graph, cfg.period_cap, cfg.enumeration_cap
-    )
-    entry["ergodic_count"] = len(measures)
+    words, truncated = simple_cycle_words(graph.adjacency, cfg.period_cap, cfg.enumeration_cap)
+    entry["ergodic_count"] = sum(len(w) for w in words)
     entry["ergodic_truncated"] = truncated
-    return graph, cert, measures, entry
+    return graph, words, entry
 
 
-def _stratified(items, cap):
-    """Deterministic evenly spaced subsample of a shortest-first list.
+def _stratified(count, cap):
+    """Deterministic evenly spaced indices into a shortest-first list.
 
-    Returns (sample, is_full).  Evenly spaced indices keep every period
+    Returns (indices, is_full).  Evenly spaced indices keep every period
     stratum represented without depending on the RNG.
     """
-    if len(items) <= cap:
-        return list(items), True
-    idx = sorted({round(i * (len(items) - 1) / (cap - 1)) for i in range(cap)})
-    return [items[i] for i in idx], False
+    if count <= cap:
+        return range(count), True
+    return sorted({round(i * (count - 1) / (cap - 1)) for i in range(cap)}), False
+
+
+def _sampled_orbits(words, cap):
+    """Orbit measures of the ``_stratified`` sample of per-length cycle words.
+
+    Returns (orbits, is_full); measures are built for the sampled words only.
+    """
+    starts = np.cumsum([0] + [len(w) for w in words])
+    idx, full = _stratified(int(starts[-1]), cap)
+    length = np.searchsorted(starts, idx, side="right") - 1
+    orbits = [
+        PeriodicOrbitMeasure(tuple(words[k][i - starts[k]].tolist())) for i, k in zip(idx, length)
+    ]
+    return orbits, full
 
 
 def run_pipeline(cfg):
@@ -210,22 +223,21 @@ def run_pipeline(cfg):
         "system_points": sys.n,
         "seed": cfg.seed,
     }
-    graphs, ergodic_sets = {}, {}
+    graphs, samples, counts = {}, {}, {}
     for n in range(1, cfg.n_max + 1):
-        graph, cert, measures, entry = _level_entry(sys, n, cfg)
+        graph, words, entry = _level_entry(sys, n, cfg)
         graphs[n] = graph
-        ergodic_sets[n] = measures
+        samples[n] = _sampled_orbits(words, cfg.hausdorff_sample)
+        counts[n] = entry["ergodic_count"]
         report.levels.append(entry)
     for n in range(1, cfg.n_max + 1):
         for m in range(n + 1, cfg.n_max + 1):
-            e_coarse, e_fine = ergodic_sets[n], ergodic_sets[m]
-            if not e_coarse or not e_fine:
+            if not counts[n] or not counts[m]:
                 report.errors.append(
                     {"stage": "cross_level", "pair": [n, m], "reason": "empty ergodic set"}
                 )
                 continue
-            coarse, coarse_full = _stratified(e_coarse, cfg.hausdorff_sample)
-            fine, fine_full = _stratified(e_fine, cfg.hausdorff_sample)
+            (coarse, coarse_full), (fine, fine_full) = samples[n], samples[m]
             best, _, aligned = pi_bar_matrices(coarse, fine, sys, cfg.pi_radius)
             best, aligned = best.tolist(), aligned.tolist()
             rows, cols = range(len(coarse)), range(len(fine))
@@ -260,11 +272,13 @@ def density_demo(cfg, level, sys=None, graph=None):
         sys = resolve_system(cfg.system)
     if graph is None:
         graph = build_chain_graph(sys, 1.0 / level)
-    cert = mixing_certificate(graph)
-    if cert.mixing_constant is None:
+    if graph.certificate.mixing_constant is None:
         raise NotMixing(f"level {level} graph is not primitive")
     if cfg.target is None:
         raise SchemaError("/target", "density demo requires a target mixture")
+    for i, (word, _) in enumerate(cfg.target):
+        if any(not 0 <= v < sys.n for v in word):
+            raise SchemaError(f"/target/{i}/word", f"point ids must lie in [0, {sys.n})")
     target = [(PeriodicOrbitMeasure(word), weight) for word, weight in cfg.target]
     for i, (pm, _) in enumerate(target):
         word = pm.word

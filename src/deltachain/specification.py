@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import finite_chain, is_delta_chain, mixing_certificate
+from .chain import finite_chain, is_delta_chain
 from .core import FiniteTrajectory, window_check, window_radius
 from .errors import (
     InsufficientMargin,
@@ -110,7 +110,7 @@ def trace_specification(spec, g, eps):
     M-length chain.  Coordinates inside every margin window equal the
     segment coordinates literally, which is stronger than eps-tracing.
     """
-    cert = mixing_certificate(g)
+    cert = g.certificate
     if cert.mixing_constant is None:
         raise NotMixing("tracing requires a primitive chain graph")
     n_margin, k = spacing_constant(eps, cert)
@@ -145,7 +145,7 @@ def verify_trace(y, spec, g, eps):
     shift.  Returns (ok, report); the first failing check is named in the
     report.
     """
-    cert = mixing_certificate(g)
+    cert = g.certificate
     if cert.mixing_constant is None:
         return False, {"failed": "graph not primitive"}
     n_margin, k = spacing_constant(eps, cert)

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from deltachain import chain
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import (
+    _graph_period,
     build_chain_graph,
     chain_family,
     critical_deltas,
@@ -13,8 +19,11 @@ from deltachain.chain import (
     to_dot,
     wielandt_bound,
 )
-from deltachain.core import FiniteMetricSystem, FiniteTrajectory
+from deltachain.core import FiniteMetricSystem, FiniteTrajectory, IntervalSegment
 from deltachain.errors import NoChain
+from deltachain.measures import PeriodicOrbitMeasure, sigmund_approximation
+from deltachain.pipeline import config_from_dict, run_pipeline
+from deltachain.specification import SpacedSpecification, trace_specification, verify_trace
 
 
 def oracle_mixing_constant(adj, cap=10_000):
@@ -130,6 +139,98 @@ class TestMixingCertificate:
             cert = mixing_certificate(g)
             if cert.mixing_constant is not None:
                 assert cert.mixing_constant <= wielandt_bound(11)
+
+
+def oracle_period(adj):
+    """gcd of the lengths k <= 2n with a closed walk, from traces of float powers."""
+    a = np.asarray(adj, dtype=float)
+    n = a.shape[0]
+    power, g = np.eye(n), 0
+    for k in range(1, 2 * n + 1):
+        power = (power @ a > 0).astype(float)
+        if np.trace(power) > 0:
+            g = math.gcd(g, k)
+    return g
+
+
+class TestGraphPeriod:
+    def test_cycles(self):
+        for n in range(1, 9):
+            adj = np.zeros((n, n), dtype=bool)
+            adj[np.arange(n), (np.arange(n) + 1) % n] = True
+            assert _graph_period(adj) == n == oracle_period(adj)
+
+    def test_cycle_with_chord(self):
+        # a 6-cycle with chord 0 -> 4 has cycles of lengths 6 and 3
+        adj = np.zeros((6, 6), dtype=bool)
+        adj[np.arange(6), (np.arange(6) + 1) % 6] = True
+        adj[0, 4] = True
+        assert _graph_period(adj) == 3 == oracle_period(adj)
+
+    def test_bipartite(self):
+        rng = np.random.default_rng(6)
+        for left, right in ((1, 1), (2, 3), (4, 4), (5, 2)):
+            n = left + right
+            adj = np.zeros((n, n), dtype=bool)
+            adj[:left, left:] = rng.random((left, right)) < 0.7
+            adj[left:, :left] = True
+            adj[np.arange(left), left + np.arange(left) % right] = True  # no sink
+            assert _graph_period(adj) == 2 == oracle_period(adj)
+
+    def test_random_strongly_connected(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            adj = rng.random((n, n)) < 0.25
+            ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+            if ncomp == 1:
+                assert _graph_period(adj) == oracle_period(adj)
+                checked += 1
+        assert checked > 20
+
+
+class TestCachedCertificate:
+    def counting(self, monkeypatch):
+        calls = []
+        real = chain.mixing_certificate
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(chain, "mixing_certificate", counted)
+        return calls
+
+    def test_computed_once_per_graph(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        g = build_chain_graph(circle_doubling(15), 0.2)
+        first = g.certificate
+        assert g.certificate is first
+        # the gluing constructions and their verifier reuse it
+        a, b = PeriodicOrbitMeasure((0,)), PeriodicOrbitMeasure((5, 10))
+        sigmund_approximation([(a, 0.5), (b, 0.5)], g, 32)
+        segment = IntervalSegment(0, 2, FiniteTrajectory([0] * 7, origin=2))
+        spec = SpacedSpecification((segment,))
+        ok, _ = verify_trace(trace_specification(spec, g, 0.5), spec, g, 0.5)
+        assert ok
+        assert len(calls) == 1
+        assert first == mixing_certificate(g)
+
+    def test_pipeline_certifies_each_level_once(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        cfg = config_from_dict(
+            {
+                "system": {"builtin": "circle-doubling", "n": 15},
+                "n_max": 4,
+                "period_cap": 2,
+                "target": [{"word": [0], "weight": 0.5}, {"word": [5, 10], "weight": 0.5}],
+                "block_scales": [8, 32],
+            }
+        )
+        report = run_pipeline(cfg)
+        assert report.density is not None and not report.errors
+        assert len(calls) == 4 and len({id(g) for g in calls}) == 4
 
 
 class TestFiniteChain:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
@@ -24,6 +26,7 @@ from deltachain.measures import (
     rho_bar_markov_upper,
     rho_bar_periodic,
     sigmund_approximation,
+    simple_cycle_words,
     w1_distance,
     weakstar_proxy,
 )
@@ -188,6 +191,30 @@ class TestW1Distance:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             w1_distance(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
+
+    def test_matches_loop_built_lp_bit_for_bit(self):
+        # the transport LP assembled entry by entry, in the same COO order
+        rng = np.random.default_rng(4)
+        for n1, n2 in ((1, 1), (1, 5), (4, 1), (7, 3), (12, 12)):
+            a, b = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+            cost = rng.random((n1, n2))
+            rows, cols = [], []
+            for i in range(n1):
+                for j in range(n2):
+                    rows.append(i)
+                    cols.append(i * n2 + j)
+            for j in range(n2 - 1):
+                for i in range(n1):
+                    rows.append(n1 + j)
+                    cols.append(i * n2 + j)
+            a_eq = coo_matrix(([1.0] * len(rows), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
+            ref = linprog(
+                cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b[:-1]]),
+                bounds=(0, None), method="highs",
+            )
+            res = w1_distance(a, b, cost)
+            assert res.value == float(ref.fun)
+            assert np.array_equal(res.plan, ref.x.reshape(n1, n2))
 
 
 class TestRhoBarPeriodic:
@@ -458,6 +485,110 @@ class TestErgodicEnumeration:
         short, _ = ergodic_measures_of_graph(g, 4, cap=10)
         longer, _ = ergodic_measures_of_graph(g, 4, cap=25)
         assert [m.word for m in longer[:10]] == [m.word for m in short]
+
+
+def sorted_cycle_oracle(adjacency, max_period):
+    """Brute force: every simple cycle rooted at its least vertex, by (length, word)."""
+    n = adjacency.shape[0]
+    out = []
+    for length in range(1, max_period + 1):
+        for word in itertools.permutations(range(n), length):
+            if word[0] == min(word) and all(
+                adjacency[word[i], word[(i + 1) % length]] for i in range(length)
+            ):
+                out.append(word)
+    return sorted(out, key=lambda w: (len(w), w))
+
+
+def flat_words(words):
+    return [tuple(w) for arr in words for w in arr.tolist()]
+
+
+class TestSimpleCycleWords:
+    def graphs(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 7):
+            for density in (0.2, 0.5, 0.9):
+                yield rng.random((n, n)) < density
+        yield build_chain_graph(circle_doubling(8), 0.3).adjacency
+
+    def test_matches_sorted_oracle_uncapped(self):
+        for adj in self.graphs():
+            expected = sorted_cycle_oracle(adj, 5)
+            words, truncated = simple_cycle_words(adj, 5, 10_000)
+            assert not truncated
+            assert flat_words(words) == expected
+            assert [arr.shape[1] for arr in words] == [1, 2, 3, 4, 5]
+            assert [len(arr) for arr in words] == [
+                sum(len(w) == k for w in expected) for k in range(1, 6)
+            ]
+
+    def test_cap_cutting_inside_one_length(self):
+        adj = np.ones((6, 6), dtype=bool)
+        expected = sorted_cycle_oracle(adj, 4)
+        short = sum(len(w) <= 2 for w in expected)  # 6 loops + 15 two-cycles
+        for cap in (short + 1, short + 17, len(expected) - 1):
+            words, truncated = simple_cycle_words(adj, 4, cap)
+            assert truncated
+            assert flat_words(words) == expected[:cap]
+
+    def test_cap_equal_to_count_does_not_truncate(self):
+        for adj in self.graphs():
+            expected = sorted_cycle_oracle(adj, 4)
+            words, truncated = simple_cycle_words(adj, 4, len(expected))
+            assert not truncated
+            assert flat_words(words) == expected
+
+    def test_cap_zero(self):
+        for adj in self.graphs():
+            words, truncated = simple_cycle_words(adj, 3, 0)
+            assert flat_words(words) == []
+            assert truncated == bool(sorted_cycle_oracle(adj, 3))
+
+    @staticmethod
+    def traced_peak(adj, max_period, cap):
+        tracemalloc.start()
+        try:
+            result = simple_cycle_words(adj, max_period, cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_dense_graph_memory_is_bounded(self):
+        # an unblocked frontier of 5-paths on K60 would hold ~1.6e8 rows
+        adj = np.ones((60, 60), dtype=bool)
+        (words, truncated), peak = self.traced_peak(adj, 6, 10_000)
+        assert peak < 64 * 2**20
+        assert truncated
+        loops_and_pairs = [(v,) for v in range(60)] + list(itertools.combinations(range(60), 2))
+        triangles = sorted(
+            w for w in itertools.permutations(range(60), 3) if w[0] < min(w[1:])
+        )
+        assert flat_words(words) == (loops_and_pairs + triangles)[:10_000]
+
+    def test_sparse_cycles_memory_is_bounded(self):
+        # all paths u -> v with u < v plus one back edge 59 -> 0: every cycle
+        # runs 0 -> ... -> 59 -> 0, so the cap is reached only at length 5,
+        # after ~C(60, 4) paths of 4 vertices; unblocked, that frontier and
+        # its successor masks peak near 0.5 GB
+        adj = np.triu(np.ones((60, 60), dtype=bool), 1)
+        adj[59, 0] = True
+        (words, truncated), peak = self.traced_peak(adj, 6, 10_000)
+        assert peak < 64 * 2**20
+        assert truncated
+        expected = [  # lengths up to 5 already pass the cap
+            (0, *middle, 59) for k in range(2, 6)
+            for middle in itertools.combinations(range(1, 59), k - 2)
+        ]
+        assert flat_words(words) == expected[:10_000]
+
+    def test_wrapper_builds_one_measure_per_word(self):
+        g = build_chain_graph(circle_doubling(8), 1.0)
+        words, truncated = simple_cycle_words(g.adjacency, 4, 50)
+        measures, wrapped = ergodic_measures_of_graph(g, 4, cap=50)
+        assert wrapped == truncated
+        assert [m.word for m in measures] == flat_words(words)
 
 
 class TestSigmund:

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from deltachain import pipeline
+from deltachain.chain import build_chain_graph
 from deltachain.errors import SchemaError
+from deltachain.measures import ergodic_measures_of_graph
 from deltachain.pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -132,6 +135,45 @@ class TestRunPipeline:
         assert len(report.errors) == 1
         assert report.errors[0]["stage"] == "density_demo"
         assert "/target/0/word" in report.errors[0]["reason"]
+
+    @pytest.mark.parametrize("word", [[-1, 0], [0, 99]])
+    def test_out_of_range_target_ids_recorded(self, word):
+        # -1 used to alias point 14 silently; 99 raised a bare IndexError
+        cfg = small_config(n_max=2, target=[{"word": word, "weight": 1.0}])
+        report = run_pipeline(cfg)
+        assert len(report.levels) == 2 and len(report.cross_level) == 1
+        assert report.density is None
+        assert len(report.errors) == 1
+        assert report.errors[0]["stage"] == "density_demo"
+        assert "/target/0/word" in report.errors[0]["reason"]
+
+    def test_counts_and_samples_match_measure_enumeration(self, monkeypatch):
+        seen = []
+        real = pipeline.pi_bar_matrices
+
+        def recording(set_a, set_b, sys, radius):
+            seen.append(([pm.word for pm in set_a], [pm.word for pm in set_b]))
+            return real(set_a, set_b, sys, radius)
+
+        monkeypatch.setattr(pipeline, "pi_bar_matrices", recording)
+        cap, sample = 30, 7
+        cfg = small_config(period_cap=3, enumeration_cap=cap, hausdorff_sample=sample)
+        report = run_pipeline(cfg)
+        sys = resolve_system(cfg.system)
+        expected = {}
+        for entry in report.levels:
+            graph = build_chain_graph(sys, 1.0 / entry["n"])
+            measures, truncated = ergodic_measures_of_graph(graph, 3, cap)
+            assert (entry["ergodic_count"], entry["ergodic_truncated"]) == (
+                len(measures),
+                truncated,
+            )
+            if len(measures) > sample:
+                step = (len(measures) - 1) / (sample - 1)
+                measures = [measures[round(i * step)] for i in range(sample)]
+            expected[entry["n"]] = [pm.word for pm in measures]
+        pairs = [(n, m) for n in range(1, 4) for m in range(n + 1, 4)]
+        assert seen == [(expected[n], expected[m]) for n, m in pairs]
 
     def test_provenance_hash_stable(self):
         a = run_pipeline(small_config()).provenance["config_hash"]
