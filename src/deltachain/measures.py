@@ -140,40 +140,67 @@ class CouplingResult:
     lower_bound: float | None = None
 
 
-def _as_weights(measure):
-    return np.asarray(getattr(measure, "weights", measure), dtype=float)
+def _solve(c, a_eq, b_eq, what):
+    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0."""
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 1:
+        raise SolverIterationCap(f"{what} LP hit its iteration limit")
+    if not res.success:
+        raise Infeasible(f"{what} LP failed: {res.message}")
+    return res
+
+
+def _transport_pattern(n1, n2):
+    """COO rows and columns of an n1 x n2 plan's row sums, then column sums but the last."""
+    by_column = np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)
+    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.repeat(n1 + np.arange(n2 - 1), n1)])
+    return rows, np.concatenate([np.arange(n1 * n2), by_column.ravel()])
+
+
+def _transport_lps(problems):
+    """Solve independent transport problems ``(a, b, cost)`` as one LP.
+
+    Their constraint blocks are stacked block-diagonally, so HiGHS is called
+    once.  The blocks share no variables, so the joint optimum restricted to
+    a block is optimal for it: each value is read as ``c_b @ x_b`` and each
+    plan is checked against its own marginals to ``MARGINAL_TOL``.  Returns
+    one :class:`CouplingResult` per problem.
+    """
+    if not problems:
+        return []
+    rows, cols, n_rows, offsets = [], [], 0, [0]
+    for a, b, cost in problems:
+        n1, n2 = cost.shape
+        if a.shape != (n1,) or b.shape != (n2,):
+            raise SchemaError("/cost", "cost shape must match the two marginals")
+        row, col = _transport_pattern(n1, n2)
+        rows.append(n_rows + row)
+        cols.append(offsets[-1] + col)
+        n_rows += n1 + n2 - 1
+        offsets.append(offsets[-1] + n1 * n2)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, offsets[-1]))
+    c = np.concatenate([cost.ravel() for _, _, cost in problems])
+    b_eq = np.concatenate([np.concatenate([a, b[:-1]]) for a, b, _ in problems])
+    res = _solve(c, a_eq, b_eq, "transport")
+    out = []
+    for (a, b, cost), lo, hi in zip(problems, offsets, offsets[1:]):
+        plan = res.x[lo:hi].reshape(cost.shape)
+        if np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b])).max() > MARGINAL_TOL:
+            raise Infeasible("transport plan violates its marginals")
+        out.append(CouplingResult(float(c[lo:hi] @ res.x[lo:hi]), plan, "optimal"))
+    return out
 
 
 def w1_distance(mu, nu, cost):
     """Exact optimal-transport value between two finite distributions.
 
-    Solves the transport LP with the HiGHS dual simplex; the returned plan is
-    checked against both marginals to 1e-9.
+    The one-problem case of the stacked transport solver: one HiGHS solve
+    of the transport LP, value ``c @ x``, plan checked against both
+    marginals to 1e-9.
     """
-    a = _as_weights(mu)
-    b = _as_weights(nu)
-    cost = np.asarray(cost, dtype=float)
-    n1, n2 = cost.shape
-    if a.shape != (n1,) or b.shape != (n2,):
-        raise SchemaError("/cost", "cost shape must match the two marginals")
-    # row sums of the plan, then column sums; the final column constraint is redundant
-    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.repeat(n1 + np.arange(n2 - 1), n1)])
-    by_column = np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)
-    cols = np.concatenate([np.arange(n1 * n2), by_column.ravel()])
-    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
-    b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status == 1:
-        raise SolverIterationCap("transport LP hit its iteration limit")
-    if not res.success:
-        raise Infeasible(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n1, n2)
-    if (
-        np.max(np.abs(plan.sum(axis=1) - a)) > MARGINAL_TOL
-        or np.max(np.abs(plan.sum(axis=0) - b)) > MARGINAL_TOL
-    ):
-        raise Infeasible("transport plan violates its marginals")
-    return CouplingResult(float(res.fun), plan, "optimal")
+    a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
+    return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]
 
 
 def rho_bar_periodic(pm, qm, cost):
@@ -276,75 +303,32 @@ def rho_bar_markov_upper(mu, nu, cost):
     n1, n2 = mu.n, nu.n
     if cost.shape != (n1, n2):
         raise SchemaError("/cost", "cost shape must match the two state spaces")
-    edges_mu = [np.nonzero(mu.kernel[u] > MARGINAL_TOL)[0] for u in range(n1)]
-    edges_nu = [np.nonzero(nu.kernel[v] > MARGINAL_TOL)[0] for v in range(n2)]
     npairs = n1 * n2
-
-    def pair(u, v):
-        return u * n2 + v
-
-    flows = []  # (uv, u'v')
-    for u in range(n1):
-        for v in range(n2):
-            for up in edges_mu[u]:
-                for vp in edges_nu[v]:
-                    flows.append((pair(u, v), pair(int(up), int(vp))))
-    nflows = len(flows)
-    nvars = npairs + nflows
-    rows, cols, data, b_eq = [], [], [], []
-    row = 0
-
-    def add(r, c, x):
-        rows.append(r)
-        cols.append(c)
-        data.append(x)
-
-    flow_index = {}
-    for idx, key in enumerate(flows):
-        flow_index.setdefault(key, idx)
-    # kernel coupling rows: sum_{v'} f(uv, u'v') = lam(uv) P_mu(u, u')
-    for u in range(n1):
-        for v in range(n2):
-            for up in edges_mu[u]:
-                for vp in edges_nu[v]:
-                    add(row, npairs + flow_index[(pair(u, v), pair(int(up), int(vp)))], 1.0)
-                add(row, pair(u, v), -float(mu.kernel[u, up]))
-                b_eq.append(0.0)
-                row += 1
-            for vp in edges_nu[v]:
-                for up in edges_mu[u]:
-                    add(row, npairs + flow_index[(pair(u, v), pair(int(up), int(vp)))], 1.0)
-                add(row, pair(u, v), -float(nu.kernel[v, vp]))
-                b_eq.append(0.0)
-                row += 1
-    # stationarity rows: sum_{uv} f(uv, u'v') = lam(u'v')
-    incoming = {}
-    for idx, (src, dst) in enumerate(flows):
-        incoming.setdefault(dst, []).append(idx)
-    for dst, idxs in sorted(incoming.items()):
-        for idx in idxs:
-            add(row, npairs + idx, 1.0)
-        add(row, dst, -1.0)
-        b_eq.append(0.0)
-        row += 1
-    # pair marginals of lam
-    for u in range(n1):
-        for v in range(n2):
-            add(row, pair(u, v), 1.0)
-        b_eq.append(float(mu.stationary[u]))
-        row += 1
-    for v in range(n2 - 1):
-        for u in range(n1):
-            add(row, pair(u, v), 1.0)
-        b_eq.append(float(nu.stationary[v]))
-        row += 1
-    a_eq = coo_matrix((data, (rows, cols)), shape=(row, nvars))
-    c = np.concatenate([cost.ravel(), np.zeros(nflows)])
-    res = linprog(c, A_eq=a_eq, b_eq=np.array(b_eq), bounds=(0, None), method="highs")
-    if res.status == 1:
-        raise SolverIterationCap("coupling LP hit its iteration limit")
-    if not res.success:
-        raise Infeasible(f"coupling LP failed: {res.message}")
+    succ_mu, succ_nu = mu.kernel > MARGINAL_TOL, nu.kernel > MARGINAL_TOL
+    # flows f(uv, u'v') in lexicographic order of (u, v, u', v')
+    u, v, up, vp = np.nonzero(succ_mu[:, None, :, None] & succ_nu[None, :, None, :])
+    src, dst, flow = u * n2 + v, up * n2 + vp, npairs + np.arange(len(u))
+    # Each flow enters three rows, keyed so that sorted keys give the row order:
+    # per pair uv, one per successor u' of u, then one per successor v' of v,
+    #   sum_{v'} f(uv, u'v') = lam(uv) P_mu(u, u'),  sum_{u'} f(uv, u'v') = lam(uv) P_nu(v, v');
+    # then one per pair u'v' with inflow, sum_{uv} f(uv, u'v') = lam(u'v'); then
+    # the pair marginals of lam.  A row holds its flows in flow order, then lam,
+    # whose coefficient is read at the row's first flow.
+    width = 2 * max(n1, n2)
+    keys = np.concatenate([width * src + up, width * src + width // 2 + vp, width * npairs + dst])
+    keys, first, row = np.unique(keys, return_index=True, return_inverse=True)
+    kind, f = np.divmod(first, len(flow))
+    coef = np.stack([mu.kernel[u, up], nu.kernel[v, vp], np.ones(len(flow))])[kind, f]
+    row_m, col_m = _transport_pattern(n1, n2)
+    rows = np.concatenate([row, np.arange(len(keys)), len(keys) + row_m])
+    cols = np.concatenate([np.tile(flow, 3), np.where(kind == 2, dst[f], src[f]), col_m])
+    data = np.concatenate([np.ones(3 * len(flow)), -coef, np.ones(len(row_m))])
+    order = np.argsort(rows, kind="stable")
+    shape = (len(keys) + n1 + n2 - 1, npairs + len(flow))
+    a_eq = coo_matrix((data[order], (rows[order], cols[order])), shape=shape)
+    b_eq = np.concatenate([np.zeros(len(keys)), mu.stationary, nu.stationary[:-1]])
+    c = np.concatenate([cost.ravel(), np.zeros(len(flow))])
+    res = _solve(c, a_eq, b_eq, "coupling")
     lam = res.x[:npairs].reshape(n1, n2)
     lower = w1_distance(mu.stationary, nu.stationary, cost).value
     return CouplingResult(float(res.fun), lam, "optimal", lower_bound=lower)
@@ -492,24 +476,39 @@ def mixture_cylinders(target, cylinder_depth):
     return out
 
 
+def weakstar_proxies(pairs, depth, sys):
+    """:func:`weakstar_proxy` for every ``(cyl_a, cyl_b)`` in ``pairs``.
+
+    The transport problems of every pair and every depth are solved as one
+    block-diagonal LP; each total is summed over depths 1 .. depth in order.
+    """
+    problems = []
+    for cyl_a, cyl_b in pairs:
+        if any(w not in cyl for cyl in (cyl_a, cyl_b) for w in range(1, depth + 1)):
+            raise DepthMismatch(f"cylinder distributions must reach depth {depth}")
+        for w in range(1, depth + 1):
+            support = sorted(set(cyl_a[w]) | set(cyl_b[w]))
+            a = np.array([cyl_a[w].get(b, 0.0) for b in support])
+            b = np.array([cyl_b[w].get(b, 0.0) for b in support])
+            blocks = np.array(support)
+            cost = sys.dist[blocks[:, None, :], blocks[None, :, :]].max(axis=2)
+            problems.append((a, b, cost))
+    values = iter(res.value for res in _transport_lps(problems))
+    totals = [0.0] * len(pairs)
+    for i in range(len(pairs)):
+        for w in range(1, depth + 1):
+            totals[i] += 2.0 ** (-w) * next(values)
+    return totals
+
+
 def weakstar_proxy(cyl_a, cyl_b, depth, sys):
     """Computable stand-in for weak* distance: a truncated cylinder-transport sum.
 
     Sums 2^-w times the transport distance between length-w block
-    distributions, with block cost the max coordinate distance.
+    distributions, with block cost the max coordinate distance.  The one-pair
+    case of :func:`weakstar_proxies`: its depth problems are solved as one LP.
     """
-    for cyl in (cyl_a, cyl_b):
-        if any(w not in cyl for w in range(1, depth + 1)):
-            raise DepthMismatch(f"cylinder distributions must reach depth {depth}")
-    total = 0.0
-    for w in range(1, depth + 1):
-        support = sorted(set(cyl_a[w]) | set(cyl_b[w]))
-        a = np.array([cyl_a[w].get(b, 0.0) for b in support])
-        b = np.array([cyl_b[w].get(b, 0.0) for b in support])
-        blocks = np.array(support)
-        cost = sys.dist[blocks[:, None, :], blocks[None, :, :]].max(axis=2)
-        total += 2.0 ** (-w) * w1_distance(a, b, cost).value
-    return total
+    return weakstar_proxies([(cyl_a, cyl_b)], depth, sys)[0]
 
 
 def pi_bar_mixture_upper(mix_a, mix_b, sys, radius):

@@ -26,7 +26,7 @@ from .measures import (
     pi_bar_mixture_upper,
     sigmund_approximation,
     simple_cycle_words,
-    weakstar_proxy,
+    weakstar_proxies,
 )
 from .specification import spacing_constant
 
@@ -61,6 +61,10 @@ _CONFIG_DEFAULTS = {
     "seed": 0,
 }
 
+# lower bounds of the integer fields; density_level may also be None
+_CONFIG_MINIMA = {"n_max": 1, "period_cap": 1, "enumeration_cap": 0, "pi_radius": 0,
+                  "cylinder_depth": 1, "hausdorff_sample": 2, "density_level": 1}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -79,10 +83,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise SchemaError("/n_max", "must be >= 1")
-        if self.period_cap < 1:
-            raise SchemaError("/period_cap", "must be >= 1")
+        for name, low in _CONFIG_MINIMA.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise SchemaError(f"/{name}", f"must be >= {low}")
         if any(not 0 < e <= 1 for e in self.eps_list):
             raise SchemaError("/eps_list", "entries must lie in (0, 1]")
 
@@ -108,9 +112,10 @@ def config_from_dict(data):
     merged = dict(_CONFIG_DEFAULTS)
     merged.update(data)
     for key, expected in _CONFIG_FIELDS.items():
-        if key in merged and merged[key] is not None:
-            if not isinstance(merged[key], expected):
-                raise SchemaError(f"/{key}", f"expected {expected}, got {type(merged[key]).__name__}")
+        if merged[key] is None and key in ("target", "density_level"):
+            continue
+        if not isinstance(merged[key], expected):
+            raise SchemaError(f"/{key}", f"expected {expected}, got {type(merged[key]).__name__}")
     if merged["target"] is not None:
         for i, comp in enumerate(merged["target"]):
             if not isinstance(comp, dict) or set(comp) != {"word", "weight"}:
@@ -268,6 +273,8 @@ def run_pipeline(cfg):
 
 def density_demo(cfg, level, sys=None, graph=None):
     """Distance-to-target table of the gluing approximant across block scales."""
+    if level < 1:
+        raise SchemaError("/density_level", "level must be >= 1")
     if sys is None:
         sys = resolve_system(cfg.system)
     if graph is None:
@@ -288,24 +295,18 @@ def density_demo(cfg, level, sys=None, graph=None):
                     f"/target/{i}/word", "word is not a cycle of the level graph"
                 )
     target_cyl = mixture_cylinders(target, cfg.cylinder_depth)
-    rows = []
-    for scale in cfg.block_scales:
-        approx = sigmund_approximation(target, graph, scale)
-        proxy = weakstar_proxy(
-            empirical_measure(approx, cfg.cylinder_depth),
-            target_cyl,
-            cfg.cylinder_depth,
-            sys,
-        )
-        pi_ub = pi_bar_mixture_upper([(approx, 1.0)], target, sys, cfg.pi_radius)
-        rows.append(
-            {
-                "block_scale": scale,
-                "approx_period": approx.period,
-                "weakstar_proxy": proxy,
-                "pi_bar_upper": pi_ub,
-            }
-        )
+    approxes = [sigmund_approximation(target, graph, scale) for scale in cfg.block_scales]
+    pairs = [(empirical_measure(approx, cfg.cylinder_depth), target_cyl) for approx in approxes]
+    proxies = weakstar_proxies(pairs, cfg.cylinder_depth, sys)
+    rows = [
+        {
+            "block_scale": scale,
+            "approx_period": approx.period,
+            "weakstar_proxy": proxy,
+            "pi_bar_upper": pi_bar_mixture_upper([(approx, 1.0)], target, sys, cfg.pi_radius),
+        }
+        for scale, approx, proxy in zip(cfg.block_scales, approxes, proxies)
+    ]
     return {"level": level, "rows": rows}
 
 

@@ -11,7 +11,7 @@ from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain, mixing_certificate
 from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
-from deltachain.errors import DegenerateWeights, EmptySet, SchemaError
+from deltachain.errors import DegenerateWeights, EmptySet, Infeasible, SchemaError
 from deltachain.measures import (
     FiniteMeasure,
     MarkovMeasure,
@@ -28,6 +28,7 @@ from deltachain.measures import (
     sigmund_approximation,
     simple_cycle_words,
     w1_distance,
+    weakstar_proxies,
     weakstar_proxy,
 )
 
@@ -215,6 +216,101 @@ class TestW1Distance:
             res = w1_distance(a, b, cost)
             assert res.value == float(ref.fun)
             assert np.array_equal(res.plan, ref.x.reshape(n1, n2))
+
+
+def counting_linprog(monkeypatch):
+    """Route ``measures.linprog`` through a recorder; returns the call list."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "linprog", recording)
+    return calls
+
+
+def dense_transport_value(a, b, cost):
+    """Independent transport LP: dense constraints, every row and column sum."""
+    n1, n2 = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))])
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs"
+    )
+    assert res.success
+    return float(res.fun)
+
+
+class TestTransportLPs:
+    def test_mixed_blocks_match_separate_lps(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        problems = []
+        for n1, n2 in ((1, 1), (3, 5), (6, 2), (1, 4), (5, 5)):
+            a, b = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+            problems.append((a, b, rng.random((n1, n2))))
+        # zero mass on some support points of both sides
+        a, b = np.array([0.5, 0.0, 0.25, 0.0, 0.25]), np.array([0.0, 0.6, 0.0, 0.4])
+        problems.insert(2, (a, b, rng.random((5, 4))))
+        calls = counting_linprog(monkeypatch)
+        results = measures._transport_lps(problems)
+        assert len(calls) == 1 and len(results) == len(problems)
+        for (a, b, cost), res in zip(problems, results):
+            assert res.plan.shape == cost.shape
+            assert res.value == pytest.approx(dense_transport_value(a, b, cost), abs=1e-9)
+            assert res.value == pytest.approx(float(np.sum(res.plan * cost)), abs=1e-12)
+            assert np.max(np.abs(res.plan.sum(axis=1) - a)) <= measures.MARGINAL_TOL
+            assert np.max(np.abs(res.plan.sum(axis=0) - b)) <= measures.MARGINAL_TOL
+            assert res.plan.min() >= -1e-12
+
+    def test_one_block_is_w1_distance(self):
+        rng = np.random.default_rng(9)
+        a, b, cost = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(6)), rng.random((4, 6))
+        (res,) = measures._transport_lps([(a, b, cost)])
+        ref = w1_distance(a, b, cost)
+        assert res.value == ref.value and np.array_equal(res.plan, ref.plan)
+
+    def test_unequal_mass_block_raises(self):
+        rng = np.random.default_rng(10)
+        good = (rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3)), rng.random((3, 3)))
+        for b in (np.array([0.5, 0.3]), np.array([0.7, 0.5])):  # mass 0.8 and 1.2 against 1
+            bad = (np.array([0.25, 0.25, 0.5]), b, rng.random((3, 2)))
+            with pytest.raises(Infeasible):
+                measures._transport_lps([good, bad, good])
+
+    def test_empty_stack_makes_no_call(self, monkeypatch):
+        calls = counting_linprog(monkeypatch)
+        assert measures._transport_lps([]) == []
+        assert weakstar_proxies([], 3, circle_doubling(4)) == []
+        assert calls == []
+
+    def test_weakstar_proxies_match_single_calls(self, monkeypatch):
+        sys = random_metric(7, seed=31)
+        rng = np.random.default_rng(11)
+        cyls = [
+            empirical_measure(
+                PeriodicOrbitMeasure(tuple(int(x) for x in rng.integers(0, 7, rng.integers(1, 9)))),
+                3,
+            )
+            for _ in range(6)
+        ]
+        pairs = [(cyls[i], cyls[j]) for i, j in ((0, 1), (2, 3), (4, 4), (5, 0), (1, 2))]
+        calls = counting_linprog(monkeypatch)
+        together = weakstar_proxies(pairs, 3, sys)
+        assert len(calls) == 1
+        single = [weakstar_proxy(x, y, 3, sys) for x, y in pairs]
+        assert len(calls) == 1 + len(pairs)
+        assert together == pytest.approx(single, abs=1e-12)
+        assert together[2] == pytest.approx(0.0, abs=1e-12)
+        for (x, y), got in zip(pairs, together):
+            want = 0.0
+            for w in range(1, 4):
+                support = sorted(set(x[w]) | set(y[w]))
+                blocks = np.array(support)
+                cost = np.max(sys.dist[blocks[:, None, :], blocks[None, :, :]], axis=2)
+                a = np.array([x[w].get(k, 0.0) for k in support])
+                b = np.array([y[w].get(k, 0.0) for k in support])
+                want += 2.0 ** -w * dense_transport_value(a, b, cost)
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestRhoBarPeriodic:
@@ -423,6 +519,103 @@ class TestRhoBarMarkovUpper:
         cost = sys.dist[np.array(pm.word)[:, None], np.array(qm.word)[None, :]]
         res = rho_bar_markov_upper(mu, nu, cost)
         assert res.lower_bound <= res.value + 1e-9
+
+
+def loop_markov_lp(mu, nu, cost):
+    """The Markov coupling LP assembled entry by entry: (c, COO A_eq, b_eq)."""
+    n1, n2 = mu.n, nu.n
+    edges_mu = [np.nonzero(mu.kernel[u] > measures.MARGINAL_TOL)[0] for u in range(n1)]
+    edges_nu = [np.nonzero(nu.kernel[v] > measures.MARGINAL_TOL)[0] for v in range(n2)]
+    npairs = n1 * n2
+
+    def pair(u, v):
+        return u * n2 + v
+
+    flows = []  # (uv, u'v')
+    for u in range(n1):
+        for v in range(n2):
+            for up in edges_mu[u]:
+                for vp in edges_nu[v]:
+                    flows.append((pair(u, v), pair(int(up), int(vp))))
+    flow_index = {key: idx for idx, key in enumerate(flows)}
+    rows, cols, data, b_eq = [], [], [], []
+    row = 0
+
+    def add(r, c, x):
+        rows.append(r)
+        cols.append(c)
+        data.append(x)
+
+    for u in range(n1):
+        for v in range(n2):
+            for up in edges_mu[u]:
+                for vp in edges_nu[v]:
+                    add(row, npairs + flow_index[(pair(u, v), pair(int(up), int(vp)))], 1.0)
+                add(row, pair(u, v), -float(mu.kernel[u, up]))
+                b_eq.append(0.0)
+                row += 1
+            for vp in edges_nu[v]:
+                for up in edges_mu[u]:
+                    add(row, npairs + flow_index[(pair(u, v), pair(int(up), int(vp)))], 1.0)
+                add(row, pair(u, v), -float(nu.kernel[v, vp]))
+                b_eq.append(0.0)
+                row += 1
+    incoming = {}
+    for idx, (_, dst) in enumerate(flows):
+        incoming.setdefault(dst, []).append(idx)
+    for dst, idxs in sorted(incoming.items()):
+        for idx in idxs:
+            add(row, npairs + idx, 1.0)
+        add(row, dst, -1.0)
+        b_eq.append(0.0)
+        row += 1
+    for u in range(n1):
+        for v in range(n2):
+            add(row, pair(u, v), 1.0)
+        b_eq.append(float(mu.stationary[u]))
+        row += 1
+    for v in range(n2 - 1):
+        for u in range(n1):
+            add(row, pair(u, v), 1.0)
+        b_eq.append(float(nu.stationary[v]))
+        row += 1
+    a_eq = coo_matrix((data, (rows, cols)), shape=(row, npairs + len(flows)))
+    c = np.concatenate([np.asarray(cost, dtype=float).ravel(), np.zeros(len(flows))])
+    return c, a_eq, np.array(b_eq)
+
+
+def random_markov(rng, n):
+    """Irreducible kernel on n states with random sparsity, and its stationary vector."""
+    kernel = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    kernel[np.arange(n), (np.arange(n) + 1) % n] += 0.5  # a Hamiltonian cycle
+    if n > 2:
+        kernel[0, 2] = 1e-12  # below the edge threshold: not a successor
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    eq = np.vstack([kernel.T - np.eye(n), np.ones(n)])
+    s = np.linalg.lstsq(eq, np.concatenate([np.zeros(n), [1.0]]), rcond=None)[0]
+    return MarkovMeasure(kernel, s)
+
+
+class TestMarkovAssembly:
+    def test_matches_loop_built_lp_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        sizes = [(1, 1), (1, 4), (5, 1), (2, 2), (3, 7), (8, 8)]
+        sizes += [tuple(int(k) for k in rng.integers(1, 9, 2)) for _ in range(14)]
+        for n1, n2 in sizes:
+            mu, nu = random_markov(rng, n1), random_markov(rng, n2)
+            cost = rng.random((n1, n2))
+            calls = counting_linprog(monkeypatch)
+            res = rho_bar_markov_upper(mu, nu, cost)
+            (c,), kwargs = calls[0]
+            ref_c, ref_a, ref_b = loop_markov_lp(mu, nu, cost)
+            got = kwargs["A_eq"]
+            assert got.shape == ref_a.shape
+            for attr in ("row", "col", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(ref_a, attr))
+            assert np.array_equal(kwargs["b_eq"], ref_b) and np.array_equal(c, ref_c)
+            ref = linprog(ref_c, A_eq=ref_a, b_eq=ref_b, bounds=(0, None), method="highs")
+            assert res.value == float(ref.fun)
+            assert np.array_equal(res.plan, ref.x[: n1 * n2].reshape(n1, n2))
 
 
 class TestHausdorff:

@@ -3,10 +3,18 @@ import os
 
 import pytest
 
-from deltachain import pipeline
+from deltachain import measures, pipeline
 from deltachain.chain import build_chain_graph
+from deltachain.cli import main
 from deltachain.errors import SchemaError
-from deltachain.measures import ergodic_measures_of_graph
+from deltachain.measures import (
+    PeriodicOrbitMeasure,
+    empirical_measure,
+    ergodic_measures_of_graph,
+    mixture_cylinders,
+    sigmund_approximation,
+    weakstar_proxy,
+)
 from deltachain.pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -226,3 +234,106 @@ class TestEmission:
         doc_a = report_to_dict(run_pipeline(cfg), include_timestamp=False)
         doc_b = report_to_dict(run_pipeline(cfg), include_timestamp=False)
         assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
+
+
+CRASH_CONFIG = {
+    "system": {"builtin": "circle-doubling", "n": 15},
+    "n_max": 2,
+    "period_cap": 2,
+}
+
+
+class TestConfigRanges:
+    """Each value used to fail only after every level had been computed."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hausdorff_sample", 1),  # bare ZeroDivisionError in _stratified
+            ("hausdorff_sample", 0),  # EmptySet from hausdorff_distance
+            ("density_level", 0),  # bare ZeroDivisionError at 1 / level
+            ("density_level", -1),  # bare ValueError from build_chain_graph
+            ("pi_radius", -1),  # bare ValueError from an empty reduction
+            ("enumeration_cap", -1),  # accepted; every level reported empty
+            ("cylinder_depth", 0),  # density section lost after every level was computed
+        ],
+    )
+    def test_rejected_at_pointer(self, field, value, tmp_path, capsys):
+        data = dict(CRASH_CONFIG, **{field: value}, out_dir=str(tmp_path / "out"))
+        with pytest.raises(SchemaError) as err:
+            config_from_dict(data)
+        assert err.value.pointer == f"/{field}"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert f"/{field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boundary_values_run(self, tmp_path):
+        cfg = config_from_dict(
+            dict(CRASH_CONFIG, hausdorff_sample=2, pi_radius=0, enumeration_cap=0, density_level=1)
+        )
+        report = run_pipeline(cfg)
+        assert [entry["ergodic_count"] for entry in report.levels] == [0, 0]
+        cfg = config_from_dict(dict(CRASH_CONFIG, hausdorff_sample=2, pi_radius=0))
+        report = run_pipeline(cfg)
+        assert report.errors == [] and len(report.cross_level) == 1
+
+    @pytest.mark.parametrize("field", ["n_max", "pi_radius", "hausdorff_sample", "system"])
+    def test_null_rejected_unless_nullable(self, field):
+        # null n_max raised a bare TypeError; null pi_radius was accepted
+        with pytest.raises(SchemaError) as err:
+            config_from_dict(dict(CRASH_CONFIG, **{field: None}))
+        assert err.value.pointer == f"/{field}"
+        cfg = config_from_dict(dict(CRASH_CONFIG, target=None, density_level=None))
+        assert cfg.target is None and cfg.density_level is None
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_density_demo_level_rejected(self, level, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CRASH_CONFIG, target=[{"word": [0], "weight": 1.0}])))
+        assert main(["density-demo", "--config", str(path), "--level", level]) == 2
+        assert "/density_level" in capsys.readouterr().err
+        cfg = load_config(str(path))
+        with pytest.raises(SchemaError):
+            density_demo(cfg, int(level))
+
+
+class TestDensityTableLP:
+    def target_config(self, **overrides):
+        return small_config(
+            n_max=5,
+            target=[{"word": [0], "weight": 0.5}, {"word": [5, 10], "weight": 0.5}],
+            **overrides,
+        )
+
+    def test_one_linprog_call_per_table(self, monkeypatch):
+        calls = []
+        real = measures.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "linprog", counting)
+        for scales in ([8], [8, 32, 128], [8, 16, 32, 64, 128, 256]):
+            calls.clear()
+            table = density_demo(self.target_config(block_scales=scales), 5)
+            assert len(table["rows"]) == len(scales)
+            assert len(calls) == 1
+        calls.clear()
+        assert density_demo(self.target_config(block_scales=[]), 5) == {"level": 5, "rows": []}
+        assert calls == []
+
+    def test_rows_match_per_scale_proxy(self):
+        cfg = self.target_config(block_scales=[8, 32, 128], cylinder_depth=3)
+        table = density_demo(cfg, 5)
+        sys = resolve_system(cfg.system)
+        graph = build_chain_graph(sys, 1.0 / 5)
+        target = [(PeriodicOrbitMeasure(w), weight) for w, weight in cfg.target]
+        target_cyl = mixture_cylinders(target, 3)
+        for row in table["rows"]:
+            approx = sigmund_approximation(target, graph, row["block_scale"])
+            assert row["approx_period"] == approx.period
+            proxy = weakstar_proxy(empirical_measure(approx, 3), target_cyl, 3, sys)
+            assert row["weakstar_proxy"] == pytest.approx(proxy, abs=1e-12)
