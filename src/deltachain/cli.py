@@ -14,12 +14,13 @@ import argparse
 import csv
 import json
 import sys as _sys
+from contextlib import nullcontext
 
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, to_adjacency_lines, to_dot
 from .core import FiniteTrajectory, IntervalSegment, load_system, system_to_dict
 from .errors import DeltachainError, NotMixing, SchemaError
-from .measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_periodic
+from .measures import _rho_bar_matrices, ergodic_measures_of_graph, pi_bar_matrices
 from .pipeline import density_demo, emit_report, load_config, run_pipeline
 from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
@@ -108,24 +109,15 @@ def _cmd_distances(args):
     system, _ = load_system(args.system)
     graph = build_chain_graph(system, args.delta)
     measures, truncated = ergodic_measures_of_graph(graph, args.period_cap, args.cap)
-    rows = []
-    for i, a in enumerate(measures):
-        for j, b in enumerate(measures):
-            if j <= i:
-                continue
-            rho_val, _ = rho_bar_periodic(a, b, system.dist)
-            pi_val, _, _ = pi_bar_periodic(a, b, system, args.radius)
-            rows.append((i, j, rho_val, pi_val))
-    out = args.out
-    fh = open(out, "w", newline="") if out else _sys.stdout
-    try:
+    # one batched rho_bar and pi_bar call per row i, written before the next row
+    with open(args.out, "w", newline="") if args.out else nullcontext(_sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "rho_bar", "pi_bar"])
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out:
-            fh.close()
+        for i, a in enumerate(measures):
+            rest = measures[i + 1 :]
+            rho_vals = _rho_bar_matrices([a], rest, system.dist)[0][0].tolist()
+            pi_vals = pi_bar_matrices([a], rest, system, args.radius)[0][0].tolist()
+            writer.writerows(zip([i] * len(rest), range(i + 1, len(measures)), rho_vals, pi_vals))
     if truncated:
         print(f"# ergodic enumeration truncated at cap {args.cap}", file=_sys.stderr)
     return 0

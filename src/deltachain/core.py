@@ -167,25 +167,43 @@ class IntervalSegment:
             raise InsufficientWindow(f"source does not cover [{self.a}, {self.b})")
 
 
+def _windows(traj, lo, hi, radius):
+    """Ids of ``traj`` at j + k, |k| <= radius, one row per shift j = lo .. hi.
+
+    Raises InsufficientWindow unless ``traj`` covers [lo - radius, hi + radius].
+    """
+    ids = np.asarray(traj.window(lo - radius, hi + radius))
+    return np.lib.stride_tricks.sliding_window_view(ids, 2 * radius + 1)
+
+
+def _truncated_max(dist, x_ids, y_ids):
+    """Per-shift product-metric maxima over id windows of length 2K+1.
+
+    Maps id arrays of shape (..., 2K+1), offsets k = -K .. K on the last
+    axis, to ``max over |k| <= K of min(dist[x_k, y_k], 1/(|k|+1))``.  The
+    truncation is applied in place on the gathered terms, so the gather is
+    the only temporary.
+    """
+    K = x_ids.shape[-1] // 2
+    terms = dist[x_ids, y_ids]
+    weights = 1.0 / (np.abs(np.arange(-K, K + 1)) + 1.0)
+    return np.minimum(terms, weights, out=terms).max(axis=-1)
+
+
 def pi_distance(sys, x, y, radius):
     """Windowed product-metric distance between two sequences.
 
     Evaluates ``max over |k| <= radius of min(rho(x_k, y_k), 1/(|k|+1))``.
     Every unseen coordinate contributes at most ``1/(radius+2)``, so the
-    result is exact iff it exceeds that tail bound; otherwise the tail bound
-    itself is returned as an upper bound with ``exact=False``.
+    result is exact iff it exceeds that tail bound by more than ``TOL``;
+    otherwise the tail bound itself is returned as an upper bound with
+    ``exact=False``.  Both trajectories must cover [-radius, radius].
     """
     K = int(radius)
     if K < 1:
         raise InsufficientWindow("radius must be a positive integer")
-    if not (x.covers(-K, K) and y.covers(-K, K)):
-        raise InsufficientWindow(f"both trajectories must cover [-{K}, {K}]")
     tail = 1.0 / (K + 2)
-    value = 0.0
-    for k in range(-K, K + 1):
-        term = min(sys.rho(x.at(k), y.at(k)), 1.0 / (abs(k) + 1))
-        if term > value:
-            value = term
+    value = float(_truncated_max(sys.dist, _windows(x, 0, 0, K), _windows(y, 0, 0, K))[0])
     if value > tail + TOL:
         return value, True
     return tail, False
@@ -196,18 +214,22 @@ def window_radius(eps):
     return int(max(1.0, 1.0 / eps) + TOL) - 1
 
 
+def _windows_within(sys, eps, x, y, lo, hi):
+    """Per shift j = lo .. hi: rho(x_{j+k}, y_{j+k}) < eps at every |k| <= window_radius(eps)."""
+    W = window_radius(eps)
+    return (sys.dist[_windows(x, lo, hi, W), _windows(y, lo, hi, W)] < eps - TOL).all(axis=-1)
+
+
 def window_check(sys, eps, x, y):
     """Certify pi(x, y) < eps from the finitely many binding coordinates.
 
     Checks ``rho(x_k, y_k) < eps`` for all k with ``|k| + 1 <= max(1, 1/eps)``;
-    coordinates outside that window are dominated by 1/(|k|+1) < eps.
+    coordinates outside that window are dominated by 1/(|k|+1) < eps.  Both
+    trajectories must cover that window.
     """
     if not 0.0 < eps <= 1.0:
         raise SchemaError("/eps", "eps must lie in (0, 1]")
-    W = window_radius(eps)
-    if not (x.covers(-W, W) and y.covers(-W, W)):
-        raise InsufficientWindow(f"both trajectories must cover [-{W}, {W}]")
-    return all(sys.rho(x.at(k), y.at(k)) < eps - TOL for k in range(-W, W + 1))
+    return bool(_windows_within(sys, eps, x, y, 0, 0)[0])
 
 
 def product_system(a, b, cap=100_000):

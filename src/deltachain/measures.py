@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .chain import finite_chain
-from .core import TOL
+from .core import TOL, _truncated_max
 from .errors import (
     DegenerateWeights,
     DepthMismatch,
@@ -203,31 +203,6 @@ def w1_distance(mu, nu, cost):
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]
 
 
-def rho_bar_periodic(pm, qm, cost):
-    """d-bar-type distance between two periodic-orbit measures, exactly.
-
-    Ergodic joinings of two periodic-orbit measures are the uniform measures
-    on product orbits, indexed by a phase modulo gcd of the periods, and the
-    infimum over the joining simplex is attained at an ergodic extreme point.
-    Hence the value is the best phase-aligned average cost.  (The phase
-    formula is cross-checked against a brute-force LP over orbit couplings in
-    the test suite.)  Returns (value, best phase).
-    """
-    cost = np.asarray(cost, dtype=float)
-    wp = np.asarray(pm.word)
-    wq = np.asarray(qm.word)
-    p, q = len(wp), len(wq)
-    g = math.gcd(p, q)
-    L = math.lcm(p, q)
-    t = np.arange(L)
-    best_value, best_phase = np.inf, 0
-    for a in range(g):
-        value = float(np.mean(cost[wp[(a + t) % p], wq[t % q]]))
-        if value < best_value - TOL:
-            best_value, best_phase = value, a
-    return best_value, best_phase
-
-
 def _by_period(orbits):
     """{period: (positions in ``orbits``, stacked words)} of periodic measures."""
     groups = {}
@@ -236,20 +211,20 @@ def _by_period(orbits):
     return {p: tuple(np.array(col) for col in zip(*group)) for p, group in groups.items()}
 
 
-def pi_bar_matrices(set_a, set_b, sys, radius):
-    """pi_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
+def _phase_scan(set_a, set_b, radius, per_shift):
+    """Phase-optimal averages of per-shift terms between every pair of orbits.
 
-    Pairs are grouped by period (p, q).  Each group gathers the per-phase
-    tensor of truncated product-metric terms (row, col, phase, shift, k) in
-    chunks of rows, so the temporary stays under ``_GATHER_FLOATS``.
-    Returns three dense (len(set_a), len(set_b)) matrices: the pi_bar value
-    (phases scanned in order; a later phase wins only when lower by more
-    than TOL), the phase that attains it, and the phase-0 value.
+    Ergodic joinings of two periodic-orbit measures are indexed by a phase
+    modulo the gcd of the periods, so each pair's value is its best
+    phase-aligned average.  Pairs are grouped by period (p, q).  Each group
+    gathers the id windows (row, col, phase, shift, k), |k| <= radius, in
+    chunks of rows, so a gather stays under ``_GATHER_FLOATS``;
+    ``per_shift`` maps the two id arrays to the (row, col, phase, shift)
+    terms.  Returns three dense (len(set_a), len(set_b)) matrices: the best
+    average (phases scanned in order; a later phase wins only when lower by
+    more than TOL), the phase that attains it, and the phase-0 average.
     """
-    K = int(radius)
-    tail = 1.0 / (K + 2)
-    ks = np.arange(-K, K + 1)
-    weights = 1.0 / (np.abs(ks) + 1.0)
+    ks = np.arange(-radius, radius + 1)
     value, aligned = np.empty((2, len(set_a), len(set_b)))
     phase = np.zeros(value.shape, dtype=int)
     groups_b = _by_period(set_b)
@@ -259,12 +234,11 @@ def pi_bar_matrices(set_a, set_b, sys, radius):
             shift = np.arange(L)[:, None] + ks[None, :]
             idx_a = words_a[:, (np.arange(g)[:, None, None] + shift) % p]
             idx_b = words_b[:, shift % q][None, :, None]
-            step = max(1, _GATHER_FLOATS // (len(cols) * p * q * (2 * K + 1)))
+            step = max(1, _GATHER_FLOATS // (len(cols) * p * q * len(ks)))
             for lo in range(0, len(rows), step):
-                terms = sys.dist[idx_a[lo : lo + step, None], idx_b]
-                per_shift = np.maximum(np.minimum(terms, weights, out=terms).max(axis=-1), tail)
+                terms = per_shift(idx_a[lo : lo + step, None], idx_b)
                 # contiguous last axis: the pairwise sum of a 1-D mean, bit for bit
-                by_phase = np.ascontiguousarray(per_shift).mean(axis=-1)
+                by_phase = np.ascontiguousarray(terms).mean(axis=-1)
                 best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
                 for a in range(1, g):
                     better = by_phase[..., a] < best - TOL
@@ -273,6 +247,50 @@ def pi_bar_matrices(set_a, set_b, sys, radius):
                 block = np.ix_(rows[lo : lo + step], cols)
                 value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
     return value, phase, aligned
+
+
+def _rho_bar_matrices(set_a, set_b, cost):
+    """rho_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
+
+    The scan of :func:`_phase_scan` with the coordinate cost as the
+    per-shift term: no window, no truncation weights and no tail, so costs
+    above 1 count in full.
+    """
+    cost = np.asarray(cost, dtype=float)
+    return _phase_scan(set_a, set_b, 0, lambda a, b: cost[a[..., 0], b[..., 0]])
+
+
+def rho_bar_periodic(pm, qm, cost):
+    """d-bar-type distance between two periodic-orbit measures, exactly.
+
+    Ergodic joinings of two periodic-orbit measures are the uniform measures
+    on product orbits, indexed by a phase modulo gcd of the periods, and the
+    infimum over the joining simplex is attained at an ergodic extreme point.
+    Hence the value is the best phase-aligned average cost.  (The phase
+    formula is cross-checked against a brute-force LP over orbit couplings in
+    the test suite.)  The singleton case of the phase scan behind
+    :func:`pi_bar_matrices`.  Returns (value, best phase).
+    """
+    value, phase, _ = _rho_bar_matrices([pm], [qm], cost)
+    return float(value[0, 0]), int(phase[0, 0])
+
+
+def pi_bar_matrices(set_a, set_b, sys, radius):
+    """pi_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
+
+    Each per-shift term is the truncated product-metric maximum over
+    |k| <= radius, raised to the truncation tail 1/(radius+2) when below it:
+    the rule is ``max(value, tail)``, with no TOL margin (unlike
+    :func:`~deltachain.core.pi_distance`, which keeps a value only when it
+    exceeds the tail by more than TOL).  Returns three dense
+    (len(set_a), len(set_b)) matrices: the pi_bar value, the phase that
+    attains it and the phase-0 value; see :func:`_phase_scan`.
+    """
+    K = int(radius)
+    tail = 1.0 / (K + 2)
+    return _phase_scan(
+        set_a, set_b, K, lambda a, b: np.maximum(_truncated_max(sys.dist, a, b), tail)
+    )
 
 
 def pi_bar_periodic(pm, qm, sys, radius):
@@ -334,14 +352,17 @@ def rho_bar_markov_upper(mu, nu, cost):
     return CouplingResult(float(res.fun), lam, "optimal", lower_bound=lower)
 
 
+def _hausdorff(matrix):
+    """Hausdorff value of a dense pseudometric matrix between its rows and its columns."""
+    if matrix.size == 0:
+        raise EmptySet("hausdorff distance needs non-empty sets")
+    return float(max(matrix.min(axis=1).max(), matrix.min(axis=0).max()))
+
+
 def hausdorff_distance(set_a, set_b, dist):
     """Hausdorff-ification of a bounded pseudometric over two finite sets."""
-    set_a, set_b = list(set_a), list(set_b)
-    if not set_a or not set_b:
-        raise EmptySet("hausdorff distance needs non-empty sets")
-    forward = max(min(dist(a, b) for b in set_b) for a in set_a)
-    backward = max(min(dist(a, b) for a in set_a) for b in set_b)
-    return max(forward, backward)
+    set_b = list(set_b)
+    return _hausdorff(np.array([[dist(a, b) for b in set_b] for a in set_a], dtype=float))
 
 
 def simple_cycle_words(adjacency, max_period, limit):
@@ -518,9 +539,9 @@ def pi_bar_mixture_upper(mix_a, mix_b, sys, radius):
     joining, so the weighted sum of pairwise periodic values bounds the
     mixture distance from above.
     """
-    total = 0.0
-    for pm, wa in mix_a:
-        for qm, wb in mix_b:
-            value, _, _ = pi_bar_periodic(pm, qm, sys, radius)
-            total += wa * wb * value
-    return total
+    mix_a, mix_b = list(mix_a), list(mix_b)
+    value, _, _ = pi_bar_matrices([pm for pm, _ in mix_a], [qm for qm, _ in mix_b], sys, radius)
+    wa, wb = (np.array([w for _, w in mix], dtype=float) for mix in (mix_a, mix_b))
+    # the pairwise products and the running sum of the component loop, in its order
+    terms = (wa[:, None] * wb[None, :] * value).ravel()
+    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])

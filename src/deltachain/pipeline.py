@@ -7,7 +7,8 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -19,8 +20,8 @@ from .core import load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     PeriodicOrbitMeasure,
+    _hausdorff,
     empirical_measure,
-    hausdorff_distance,
     mixture_cylinders,
     pi_bar_matrices,
     pi_bar_mixture_upper,
@@ -30,37 +31,6 @@ from .measures import (
 )
 from .specification import spacing_constant
 
-_CONFIG_FIELDS = {
-    "system": (dict, str),
-    "n_max": int,
-    "period_cap": int,
-    "enumeration_cap": int,
-    "eps_list": list,
-    "pi_radius": int,
-    "cylinder_depth": int,
-    "target": list,
-    "block_scales": list,
-    "density_level": int,
-    "hausdorff_sample": int,
-    "out_dir": str,
-    "seed": int,
-}
-
-_CONFIG_DEFAULTS = {
-    "n_max": 4,
-    "period_cap": 5,
-    "enumeration_cap": 10_000,
-    "eps_list": [0.5],
-    "pi_radius": 8,
-    "cylinder_depth": 3,
-    "target": None,
-    "block_scales": [8, 16, 32, 64, 128, 256],
-    "density_level": None,
-    "hausdorff_sample": 40,
-    "out_dir": "deltachain-out",
-    "seed": 0,
-}
-
 # lower bounds of the integer fields; density_level may also be None
 _CONFIG_MINIMA = {"n_max": 1, "period_cap": 1, "enumeration_cap": 0, "pi_radius": 0,
                   "cylinder_depth": 1, "hausdorff_sample": 2, "density_level": 1}
@@ -68,7 +38,10 @@ _CONFIG_MINIMA = {"n_max": 1, "period_cap": 1, "enumeration_cap": 0, "pi_radius"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    system: object
+    """Run settings.  The annotations are the JSON schema of a config file:
+    a tuple field arrives as an array, and only ``| None`` fields take null."""
+
+    system: dict | str
     n_max: int = 4
     period_cap: int = 5
     enumeration_cap: int = 10_000
@@ -87,8 +60,12 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise SchemaError(f"/{name}", f"must be >= {low}")
-        if any(not 0 < e <= 1 for e in self.eps_list):
-            raise SchemaError("/eps_list", "entries must lie in (0, 1]")
+        for i, eps in enumerate(self.eps_list):
+            if not 0 < eps <= 1:
+                raise SchemaError(f"/eps_list/{i}", "must lie in (0, 1]")
+        for i, scale in enumerate(self.block_scales):
+            if scale < 1:
+                raise SchemaError(f"/block_scales/{i}", "must be >= 1")
 
 
 @dataclass
@@ -100,32 +77,46 @@ class PipelineReport:
     provenance: dict = field(default_factory=dict)
 
 
+def _check_type(pointer, value, types):
+    """Raise SchemaError at ``pointer`` unless ``value`` is one of ``types`` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise SchemaError(pointer, f"expected {names}, got {type(value).__name__}")
+
+
 def config_from_dict(data):
     """Strictly validated config; unknown fields are schema errors."""
     if not isinstance(data, dict):
         raise SchemaError("", "config must be an object")
+    schema = typing.get_type_hints(PipelineConfig)
     for key in data:
-        if key not in _CONFIG_FIELDS:
+        if key not in schema:
             raise SchemaError(f"/{key}", "unknown field")
     if "system" not in data:
         raise SchemaError("/system", "missing required field")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(data)
-    for key, expected in _CONFIG_FIELDS.items():
-        if merged[key] is None and key in ("target", "density_level"):
-            continue
-        if not isinstance(merged[key], expected):
-            raise SchemaError(f"/{key}", f"expected {expected}, got {type(merged[key]).__name__}")
-    if merged["target"] is not None:
-        for i, comp in enumerate(merged["target"]):
-            if not isinstance(comp, dict) or set(comp) != {"word", "weight"}:
-                raise SchemaError(f"/target/{i}", "expected {word, weight}")
-        merged["target"] = tuple(
-            (tuple(comp["word"]), float(comp["weight"])) for comp in merged["target"]
-        )
-    merged["eps_list"] = tuple(float(e) for e in merged["eps_list"])
-    merged["block_scales"] = tuple(int(x) for x in merged["block_scales"])
-    return PipelineConfig(**merged)
+    for key, hint in schema.items():
+        types = typing.get_args(hint) or (hint,)
+        if key in data and (data[key] is not None or type(None) not in types):
+            json_types = tuple(list if t is tuple else t for t in types if t is not type(None))
+            _check_type(f"/{key}", data[key], json_types)
+    for key, types in (("eps_list", (int, float)), ("block_scales", (int,))):
+        for i, entry in enumerate(data.get(key, ())):
+            _check_type(f"/{key}/{i}", entry, types)
+    for i, comp in enumerate(data.get("target") or ()):
+        if not isinstance(comp, dict) or set(comp) != {"word", "weight"}:
+            raise SchemaError(f"/target/{i}", "expected {word, weight}")
+        _check_type(f"/target/{i}/word", comp["word"], (list,))
+        for v in comp["word"]:
+            _check_type(f"/target/{i}/word", v, (int,))
+        _check_type(f"/target/{i}/weight", comp["weight"], (int, float))
+    kwargs = dict(data)
+    if "eps_list" in data:
+        kwargs["eps_list"] = tuple(float(e) for e in data["eps_list"])
+    if "block_scales" in data:
+        kwargs["block_scales"] = tuple(data["block_scales"])
+    if data.get("target") is not None:
+        kwargs["target"] = tuple((tuple(c["word"]), float(c["weight"])) for c in data["target"])
+    return PipelineConfig(**kwargs)
 
 
 def load_config(path):
@@ -150,24 +141,10 @@ def resolve_system(spec):
 
 
 def _config_hash(cfg):
-    blob = json.dumps(
-        {
-            "system": cfg.system if not isinstance(cfg.system, str) else cfg.system,
-            "n_max": cfg.n_max,
-            "period_cap": cfg.period_cap,
-            "enumeration_cap": cfg.enumeration_cap,
-            "eps_list": list(cfg.eps_list),
-            "pi_radius": cfg.pi_radius,
-            "cylinder_depth": cfg.cylinder_depth,
-            "target": [[list(t[0]), t[1]] for t in cfg.target] if cfg.target else None,
-            "block_scales": list(cfg.block_scales),
-            "density_level": cfg.density_level,
-            "hausdorff_sample": cfg.hausdorff_sample,
-            "seed": cfg.seed,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """sha256 of every field but ``out_dir``; tuples hash as arrays, an empty target as null."""
+    payload = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "out_dir"}
+    payload["target"] = cfg.target or None
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _level_entry(sys, n, cfg):
@@ -244,13 +221,11 @@ def run_pipeline(cfg):
                 continue
             (coarse, coarse_full), (fine, fine_full) = samples[n], samples[m]
             best, _, aligned = pi_bar_matrices(coarse, fine, sys, cfg.pi_radius)
-            best, aligned = best.tolist(), aligned.tolist()
-            rows, cols = range(len(coarse)), range(len(fine))
-            value = hausdorff_distance(rows, cols, lambda i, j: best[i][j])
+            value = _hausdorff(best)
             # one-sided consistency: the phase-0 value dominates pi_bar
             # pairwise, so its Hausdorff value dominates the reported one
             # (same sampling on both sides).
-            bound = hausdorff_distance(rows, cols, lambda i, j: aligned[i][j])
+            bound = _hausdorff(aligned)
             exhaustive = coarse_full and fine_full
             report.cross_level.append(
                 {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, pi_distance
+from .core import TOL, _truncated_max, _windows
 from .errors import BadHorizon, InsufficientWindow
 
 
@@ -103,7 +103,7 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
 def _coordinate_distances(sys, x, y, N):
     if not (x.covers(0, N - 1) and y.covers(0, N - 1)):
         raise InsufficientWindow(f"both trajectories must cover [0, {N - 1}]")
-    return np.array([sys.rho(x.at(j), y.at(j)) for j in range(N)])
+    return sys.dist[np.asarray(x.window(0, N - 1)), np.asarray(y.window(0, N - 1))]
 
 
 def besicovitch_rho(x, y, sys, N):
@@ -124,15 +124,18 @@ def besicovitch_pi(x, y, sys, N, K):
     Inexact pi terms contribute their upper bound 1/(K+2), and the estimate
     carries that bound as its error bar.
     """
+    K = int(K)
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
     if not (x.covers(-K, N - 1 + K) and y.covers(-K, N - 1 + K)):
         raise InsufficientWindow(f"need coverage of [-{K}, {N - 1 + K}]")
-    total = 0.0
-    for j in range(N):
-        value, _ = pi_distance(sys, x.shifted(j), y.shifted(j), K)
-        total += value
-    return BesicovitchEstimate(total / N, N, "pi_B", error_bar=1.0 / (K + 2))
+    if K < 1:
+        raise InsufficientWindow("radius must be a positive integer")
+    tail = 1.0 / (K + 2)
+    values = _truncated_max(sys.dist, _windows(x, 0, N - 1, K), _windows(y, 0, N - 1, K))
+    # the tail rule of pi_distance; the running sum adds in shift order
+    total = float(np.cumsum(np.where(values > tail + TOL, values, tail))[-1])
+    return BesicovitchEstimate(total / N, N, "pi_B", error_bar=tail)
 
 
 def hat_rho(x, y, sys, N):
@@ -168,10 +171,7 @@ def pi_exceeds(sys, x, y, k, level):
     rho(x_{k+j}, y_{k+j}) >= level; only |j| <= 1/level - 1 can bind.
     """
     W = int(1.0 / level - 1.0 + TOL)
-    for j in range(-W, W + 1):
-        if sys.rho(x.at(k + j), y.at(k + j)) >= level - TOL:
-            return True
-    return False
+    return bool((sys.dist[_windows(x, k, k, W), _windows(y, k, k, W)] >= level - TOL).any())
 
 
 def equivalence_bound_check(x, y, sys, N, delta):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import finite_chain, is_delta_chain
-from .core import FiniteTrajectory, window_check, window_radius
+from .core import FiniteTrajectory, _windows_within
 from .errors import (
     InsufficientMargin,
     InsufficientSpacing,
@@ -71,8 +71,8 @@ class PeriodicChain:
 
     def as_trajectory(self, lo, hi):
         """Expand the periodic sequence over coordinates lo..hi inclusive."""
-        entries = [self.at(c) for c in range(lo, hi + 1)]
-        return FiniteTrajectory(entries, origin=-lo)
+        positions = (np.arange(lo, hi + 1) + self.origin_offset) % self.period
+        return FiniteTrajectory(np.asarray(self.word)[positions].tolist(), origin=-lo)
 
 
 def spacing_constant(eps, cert):
@@ -149,31 +149,19 @@ def verify_trace(y, spec, g, eps):
     if cert.mixing_constant is None:
         return False, {"failed": "graph not primitive"}
     n_margin, k = spacing_constant(eps, cert)
-    word = y.word
-    adj = g.adjacency
-    for i in range(len(word)):
-        if not adj[word[i], word[(i + 1) % len(word)]]:
-            return False, {"failed": "cyclic chain", "index": i}
-    w_radius = window_radius(eps)
-    sys = g.system
+    word = np.asarray(y.word)
+    broken = np.flatnonzero(~g.adjacency[word, np.roll(word, -1)])
+    if broken.size:
+        return False, {"failed": "cyclic chain", "index": int(broken[0])}
     for idx, seg in enumerate(spec.segments):
         lo, hi = seg.a - n_margin + 1, seg.b + n_margin - 2
-        for c in range(lo, hi + 1):
-            if y.at(c) != seg.source.at(c):
-                return False, {
-                    "failed": "margin equality",
-                    "segment": idx,
-                    "coordinate": c,
-                }
-        for j in range(seg.a, seg.b):
-            seg_win = FiniteTrajectory(
-                [seg.source.at(j + t) for t in range(-w_radius, w_radius + 1)],
-                origin=w_radius,
-            )
-            y_win = FiniteTrajectory(
-                [y.at(j + t) for t in range(-w_radius, w_radius + 1)],
-                origin=w_radius,
-            )
-            if not window_check(sys, eps, y_win, seg_win):
-                return False, {"failed": "window check", "segment": idx, "shift": j}
+        y_seg = y.as_trajectory(lo, hi)
+        differ = np.flatnonzero(np.asarray(y_seg.entries) != seg.source.window(lo, hi))
+        if differ.size:
+            where = lo + int(differ[0])
+            return False, {"failed": "margin equality", "segment": idx, "coordinate": where}
+        within = _windows_within(g.system, eps, y_seg, seg.source, seg.a, seg.b - 1)
+        if not within.all():
+            shift = seg.a + int(np.argmin(within))
+            return False, {"failed": "window check", "segment": idx, "shift": shift}
     return True, {"failed": None, "period": y.period}

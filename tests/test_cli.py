@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from deltachain.chain import build_chain_graph
 from deltachain.cli import main
+from deltachain.core import load_system
+from deltachain.measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_periodic
 
 
 @pytest.fixture
@@ -165,6 +168,22 @@ class TestDistances:
         assert lines[0] == "i,j,rho_bar,pi_bar"
         # three fixed points -> three unordered pairs
         assert len(lines) == 4
+
+    def test_rows_equal_the_pairwise_loop(self, grid15_file, tmp_path):
+        # the per-pair singleton calls that wrote the table before the batched rows
+        out = tmp_path / "d.csv"
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "3"]
+        assert main(args + ["--radius", "5", "--out", str(out)]) == 0
+        system, _ = load_system(grid15_file)
+        orbits, _ = ergodic_measures_of_graph(build_chain_graph(system, 0.2), 3)
+        expected = ["i,j,rho_bar,pi_bar"]
+        for i, a in enumerate(orbits):
+            for j in range(i + 1, len(orbits)):
+                rho_val, _ = rho_bar_periodic(a, orbits[j], system.dist)
+                pi_val, _, _ = pi_bar_periodic(a, orbits[j], system, 5)
+                expected.append(f"{i},{j},{rho_val!r},{pi_val!r}")
+        assert len(orbits) > 20
+        assert out.read_bytes().decode().split("\r\n") == expected + [""]
 
 
 class TestAnalyze:

@@ -9,7 +9,7 @@ from scipy.sparse import coo_matrix
 
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
-from deltachain.chain import build_chain_graph, is_delta_chain, mixing_certificate
+from deltachain.chain import build_chain_graph, is_delta_chain
 from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
 from deltachain.errors import DegenerateWeights, EmptySet, Infeasible, SchemaError
 from deltachain.measures import (

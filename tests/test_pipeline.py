@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -337,3 +336,86 @@ class TestDensityTableLP:
             assert row["approx_period"] == approx.period
             proxy = weakstar_proxy(empirical_measure(approx, 3), target_cyl, 3, sys)
             assert row["weakstar_proxy"] == pytest.approx(proxy, abs=1e-12)
+
+
+ACCEPTANCE_9_CONFIG = {
+    "system": {"builtin": "circle-doubling", "n": 15},
+    "n_max": 4,
+    "period_cap": 3,
+    "pi_radius": 6,
+    "hausdorff_sample": 20,
+    "target": [{"word": [0], "weight": 0.5}, {"word": [5, 10], "weight": 0.5}],
+    "block_scales": [8, 32, 128],
+    "density_level": 4,
+    "seed": 0,
+}
+
+
+class TestConfigSchema:
+    """The schema is the PipelineConfig fields; the hash bytes are the old ones."""
+
+    def test_hash_of_the_acceptance_config_is_pinned(self):
+        cfg = config_from_dict(ACCEPTANCE_9_CONFIG)
+        digest = "52c24129e35b91f96face8a742e3c728f3ed0f59abf39f528b43979480b817b5"
+        assert pipeline._config_hash(cfg) == digest
+        moved = config_from_dict(dict(ACCEPTANCE_9_CONFIG, out_dir="elsewhere"))
+        assert pipeline._config_hash(moved) == digest
+
+    def test_empty_target_hashes_as_null(self):
+        no_target = {k: v for k, v in ACCEPTANCE_9_CONFIG.items() if k != "target"}
+        digest = "fd3cd90edc0f357fc4e934448acb8d6d77c9aee7020db263bd61e4525d6d01ac"
+        assert pipeline._config_hash(config_from_dict(no_target)) == digest
+        assert pipeline._config_hash(config_from_dict(dict(no_target, target=[]))) == digest
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = config_from_dict({"system": "x.json"})
+        assert cfg == PipelineConfig(system="x.json")
+        assert cfg.block_scales == (8, 16, 32, 64, 128, 256) and cfg.target is None
+        digest = "a1a40c68c04ac0b25cedb687997e0eaf1e6393ea2ad06fe7fca324353e2fa6d0"
+        assert pipeline._config_hash(cfg) == digest
+
+    def test_entries_converted_as_before(self):
+        cfg = config_from_dict(dict(ACCEPTANCE_9_CONFIG, eps_list=[1, 0.25], block_scales=[]))
+        assert cfg.eps_list == (1.0, 0.25) and type(cfg.eps_list[0]) is float
+        assert cfg.target == (((0,), 0.5), ((5, 10), 0.5))
+        digest = "5fd38eea21ce5a7ff617f2221e9f8d57949fbd3aa79fcea9c5a5f718b9a930a0"
+        assert pipeline._config_hash(cfg) == digest
+
+
+class TestConfigEntries:
+    """Bad list entries used to raise bare errors or run with a nonsense value."""
+
+    @pytest.mark.parametrize(
+        "field, value, pointer",
+        [
+            ("eps_list", ["x"], "/eps_list/0"),  # bare ValueError from float()
+            ("eps_list", [0.5, True], "/eps_list/1"),
+            ("eps_list", [0.5, 1.5], "/eps_list/1"),
+            ("block_scales", ["x"], "/block_scales/0"),  # bare ValueError from int()
+            ("block_scales", [8, -8], "/block_scales/1"),  # reported a row with scale -8
+            ("block_scales", [0], "/block_scales/0"),  # DegenerateWeights after every level
+            ("block_scales", [8.5], "/block_scales/0"),
+            ("target", [{"word": ["a"], "weight": 1.0}], "/target/0/word"),  # bare TypeError late
+            ("target", [{"word": 0, "weight": 1.0}], "/target/0/word"),  # bare TypeError
+            ("target", [{"word": [0], "weight": "x"}], "/target/0/weight"),  # bare ValueError
+            ("target", [{"word": [0], "weight": 0.5}, {"word": [5, 1.0], "weight": 0.5}],
+             "/target/1/word"),
+        ],
+    )
+    def test_rejected_at_pointer(self, field, value, pointer, tmp_path, capsys):
+        data = dict(CRASH_CONFIG, **{field: value}, out_dir=str(tmp_path / "out"))
+        with pytest.raises(SchemaError) as err:
+            config_from_dict(data)
+        assert err.value.pointer == pointer
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--config", str(path)]) == 2
+        assert pointer in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_valid_entries_run(self):
+        target = [{"word": [0], "weight": 1}]
+        cfg = config_from_dict(dict(CRASH_CONFIG, block_scales=[1, 8], eps_list=[1], target=target))
+        report = run_pipeline(cfg)
+        assert report.errors == []
+        assert [row["block_scale"] for row in report.density["rows"]] == [1, 8]

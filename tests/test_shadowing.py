@@ -6,7 +6,6 @@ from deltachain.chain import build_chain_graph, is_delta_chain
 from deltachain.core import TOL, FiniteTrajectory
 from deltachain.errors import BadHorizon, InsufficientWindow
 from deltachain.shadowing import (
-    BesicovitchEstimate,
     besicovitch_pi,
     besicovitch_rho,
     best_average_tracer,
