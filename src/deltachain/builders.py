@@ -12,7 +12,7 @@ def circle_doubling(n):
     labels = tuple(f"{i}/{n}" for i in range(n))
     dist = _circle_grid_metric(n)
     image = tuple((2 * i) % n for i in range(n))
-    return FiniteMetricSystem(labels, dist, image)
+    return FiniteMetricSystem._derived(labels, dist, image)
 
 
 def circle_rotation(n, k=1):
@@ -20,7 +20,7 @@ def circle_rotation(n, k=1):
     labels = tuple(f"{i}/{n}" for i in range(n))
     dist = _circle_grid_metric(n)
     image = tuple((i + k) % n for i in range(n))
-    return FiniteMetricSystem(labels, dist, image)
+    return FiniteMetricSystem._derived(labels, dist, image)
 
 
 def random_metric(n, seed=0):
@@ -36,7 +36,7 @@ def random_metric(n, seed=0):
     dist = normalize_metric(raw)
     image = tuple(int(v) for v in rng.integers(0, n, size=n))
     labels = tuple(str(i) for i in range(n))
-    return FiniteMetricSystem(labels, dist, image)
+    return FiniteMetricSystem._derived(labels, dist, image)
 
 
 BUILTIN_SYSTEMS = {

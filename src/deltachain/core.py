@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import InsufficientWindow, NotAMetric, SchemaError, SizeOverflow
 
@@ -22,11 +23,27 @@ TOL = 1e-12
 
 
 def _check_metric(d, tol=1e-9):
-    """Raise NotAMetric if ``d`` is not a metric matrix; returns nothing."""
+    """Raise NotAMetric if ``d`` is not a metric matrix; returns nothing.
+
+    A symmetric d satisfies every triangle inequality iff each row map
+    u -> d(u, .) is 1-Lipschitz into l-infinity (Frechet-Kuratowski), i.e.
+    ``max_k |d[i,k] - d[j,k]| <= d[i,j]`` for every pair: one Chebyshev
+    ``pdist``.  Gaps are taken to ``min(d[i,j], d[j,i])`` to cover the
+    asymmetry of up to ``tol`` that is allowed, and the margin
+    ``16 * eps * max|d|`` exceeds the rounding of both this check and the
+    loop, so the fast path accepts nothing the loop would reject.  All else
+    (a slack near ``tol``, a violation, an infinite entry) goes to the loop,
+    which decides and names the witness triple.
+    """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotAMetric("matrix is not square")
+    if np.isnan(d).any():
+        i, j = np.argwhere(np.isnan(d))[0]
+        raise NotAMetric("entry is not a number", (int(i), int(j)))
     n = d.shape[0]
+    if n == 0:
+        return
     if np.any(d < -tol):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
@@ -37,8 +54,15 @@ def _check_metric(d, tol=1e-9):
     if np.max(np.abs(np.diag(d))) > tol:
         i = int(np.argmax(np.abs(np.diag(d))))
         raise NotAMetric("nonzero diagonal", (i, i))
-    # triangle inequality: d[i,k] <= min_j d[i,j] + d[j,k]
-    for j in range(n):
+    gap = pdist(d, "chebyshev") - np.minimum(d, d.T)[np.triu_indices(n, 1)]
+    if np.all(gap <= tol - 16 * np.finfo(float).eps * np.max(np.abs(d))):
+        return
+    _check_triangles(d, tol)
+
+
+def _check_triangles(d, tol):
+    """The exact triangle check: for each middle point j, d[i,k] <= d[i,j] + d[j,k]."""
+    for j in range(d.shape[0]):
         slack = d - (d[:, j][:, None] + d[j, :][None, :])
         if np.max(slack) > tol:
             i, k = np.unravel_index(np.argmax(slack), slack.shape)
@@ -74,13 +98,19 @@ class FiniteMetricSystem:
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
         _check_metric(d)
-        if np.max(d) > 1.0 + TOL:
+        if np.max(d, initial=0.0) > 1.0 + TOL:
             raise NotAMetric("entry exceeds 1; call normalize_metric first")
+        self._adopt(d)
+
+    def _adopt(self, d):
+        """Store a read-only copy of ``d``; check the labels and the map against it."""
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         n = d.shape[0]
+        if n == 0:
+            raise SchemaError("/points", "a system needs at least one point")
         if len(self.labels) != n:
             raise SchemaError("/points", f"expected {n} labels, got {len(self.labels)}")
         image = tuple(int(v) for v in self.map_image)
@@ -91,6 +121,15 @@ class FiniteMetricSystem:
     @property
     def n(self):
         return self.dist.shape[0]
+
+    @classmethod
+    def _derived(cls, labels, dist, map_image):
+        """A system on a metric that is valid by construction: the metric is not re-checked."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "labels", labels)
+        object.__setattr__(system, "map_image", map_image)
+        system._adopt(np.asarray(dist, dtype=float))
+        return system
 
     def rho(self, u, v):
         return float(self.dist[u, v])
@@ -243,7 +282,7 @@ def product_system(a, b, cap=100_000):
     image = tuple(
         a.map_image[u] * b.n + b.map_image[v] for u in range(a.n) for v in range(b.n)
     )
-    return FiniteMetricSystem(labels, dist, image)
+    return FiniteMetricSystem._derived(labels, dist, image)
 
 
 def surjective_core(sys):
@@ -263,7 +302,7 @@ def surjective_core(sys):
     dist = sys.dist[np.ix_(core, core)]
     labels = tuple(sys.labels[u] for u in core)
     image = tuple(index[sys.map_image[u]] for u in core)
-    return core, FiniteMetricSystem(labels, dist, image)
+    return core, FiniteMetricSystem._derived(labels, dist, image)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +322,13 @@ def _line_grid_metric(n):
     return np.abs(x[:, None] - x[None, :])
 
 
+def _check_type(pointer, value, types):
+    """Raise SchemaError at ``pointer`` unless ``value`` is one of ``types`` (never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = " or ".join(t.__name__ for t in types)
+        raise SchemaError(pointer, f"expected {names}, got {type(value).__name__}")
+
+
 def system_from_dict(data):
     """Build a system from the JSON system-spec structure.
 
@@ -297,21 +343,34 @@ def system_from_dict(data):
     for key in ("points", "metric", "map"):
         if key not in data:
             raise SchemaError(f"/{key}", "missing required field")
+    _check_type("/points", data["points"], (list,))
+    if not data["points"]:
+        raise SchemaError("/points", "a system needs at least one point")
+    _check_type("/map", data["map"], (list,))
+    for v in data["map"]:
+        _check_type("/map", v, (int,))
     metric = data["metric"]
     if not isinstance(metric, dict) or len(metric) != 1:
         raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")
     kind, value = next(iter(metric.items()))
+    pointer = f"/metric/{kind}"
     if kind == "matrix":
+        _check_type(pointer, value, (list,))
+        if not all(isinstance(row, list) and len(row) == len(value[0]) for row in value):
+            raise SchemaError(pointer, "expected a list of rows of one length")
+        if not all(type(v) in (int, float) for row in value for v in row):
+            raise SchemaError(pointer, "entries must be numbers")
         raw = np.asarray(value, dtype=float)
-    elif kind == "circle_grid":
-        raw = _circle_grid_metric(int(value))
-    elif kind == "line_grid":
-        raw = _line_grid_metric(int(value))
+    elif kind in ("circle_grid", "line_grid"):
+        _check_type(pointer, value, (int,))
+        if value < 1:
+            raise SchemaError(pointer, "must be >= 1")
+        raw = (_circle_grid_metric if kind == "circle_grid" else _line_grid_metric)(value)
     else:
-        raise SchemaError(f"/metric/{kind}", "unknown metric kind")
+        raise SchemaError(pointer, "unknown metric kind")
     dist = normalize_metric(raw)
     clamped = bool(np.any(dist < raw - TOL))
-    system = FiniteMetricSystem(tuple(data["points"]), dist, tuple(data["map"]))
+    system = FiniteMetricSystem._derived(tuple(data["points"]), dist, tuple(data["map"]))
     return system, clamped
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph
-from .core import load_system, system_from_dict
+from .core import _check_type, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     PeriodicOrbitMeasure,
@@ -75,13 +75,6 @@ class PipelineReport:
     density: dict | None = None
     errors: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-
-
-def _check_type(pointer, value, types):
-    """Raise SchemaError at ``pointer`` unless ``value`` is one of ``types`` (never a bool)."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        names = " or ".join(t.__name__ for t in types)
-        raise SchemaError(pointer, f"expected {names}, got {type(value).__name__}")
 
 
 def config_from_dict(data):

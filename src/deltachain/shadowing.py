@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TOL, _truncated_max, _windows
-from .errors import BadHorizon, InsufficientWindow
+from .errors import BadHorizon, InsufficientWindow, SchemaError
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,8 @@ def pi_exceeds(sys, x, y, k, level):
     pi >= level holds iff some offset j with 1/(|j|+1) >= level has
     rho(x_{k+j}, y_{k+j}) >= level; only |j| <= 1/level - 1 can bind.
     """
+    if not 0.0 < level <= 1.0:
+        raise SchemaError("/level", "level must lie in (0, 1]")
     W = int(1.0 / level - 1.0 + TOL)
     return bool((sys.dist[_windows(x, k, k, W), _windows(y, k, k, W)] >= level - TOL).any())
 

@@ -1,0 +1,317 @@
+"""The metric check at the trust boundary, against the per-middle-point loop.
+
+``loop_check_metric`` is the triangle check as it was before the Chebyshev
+fast accept; ``core._check_metric`` must reach the same decision and name
+the same witness on every input.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from deltachain import core
+from deltachain.builders import circle_doubling, circle_rotation, random_metric
+from deltachain.cli import main
+from deltachain.core import (
+    FiniteMetricSystem,
+    _check_metric,
+    normalize_metric,
+    product_system,
+    surjective_core,
+    system_from_dict,
+)
+from deltachain.errors import NotAMetric, SchemaError
+
+TOL = 1e-9
+
+
+def loop_check_metric(d, tol=TOL):
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise NotAMetric("matrix is not square")
+    n = d.shape[0]
+    if np.any(d < -tol):
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        raise NotAMetric("negative entry", (int(i), int(j)))
+    asym = np.abs(d - d.T)
+    if np.max(asym) > tol:
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        raise NotAMetric("not symmetric", (int(i), int(j)))
+    if np.max(np.abs(np.diag(d))) > tol:
+        i = int(np.argmax(np.abs(np.diag(d))))
+        raise NotAMetric("nonzero diagonal", (i, i))
+    for j in range(n):
+        slack = d - (d[:, j][:, None] + d[j, :][None, :])
+        if np.max(slack) > tol:
+            i, k = np.unravel_index(np.argmax(slack), slack.shape)
+            raise NotAMetric("triangle inequality fails", (int(i), j, int(k)))
+
+
+def outcome(check, d):
+    try:
+        check(d)
+    except NotAMetric as exc:
+        return exc.reason, exc.witness
+    return None
+
+
+def euclidean(rng, n):
+    pts = rng.random((n, int(rng.integers(1, 4))))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def ultrametric(rng, n):
+    """Weight of the first differing bit of random codes: exact ties everywhere."""
+    codes = rng.integers(0, 2, size=(n, 6))
+    weights = np.sort(rng.random(6))[::-1]
+    differ = codes[:, None, :] != codes[None, :, :]
+    first = np.where(differ.any(axis=2), differ.argmax(axis=2), 0)
+    return np.where(differ.any(axis=2), weights[first], 0.0)
+
+
+def line_with_planted_slack(rng, n, slack):
+    """Collinear points; one outer pair moved apart so its triangles carry ``slack``."""
+    x = np.sort(rng.random(n))
+    d = np.abs(x[:, None] - x[None, :])
+    i, j, k = sorted(rng.choice(n, size=3, replace=False))
+    d[i, k] = d[k, i] = d[i, j] + d[j, k] + slack
+    return d
+
+
+def random_matrix(rng, index):
+    n = int(rng.integers(3, 41))
+    kind = index % 6
+    if kind == 0:
+        d = euclidean(rng, n)
+    elif kind == 1:
+        d = core._circle_grid_metric(n)  # exact ties
+    elif kind == 2:
+        d = ultrametric(rng, n)
+    elif kind == 3:
+        d = line_with_planted_slack(rng, n, TOL + rng.choice([-1e-12, 1e-12, -5e-10, 5e-10, 0.0]))
+    elif kind == 4:
+        d = rng.random((n, n))  # mostly not a metric: exercises the witness
+        d = np.triu(d, 1) + np.triu(d, 1).T
+    else:
+        d = euclidean(rng, n)
+        a, b = rng.choice(n, size=2, replace=False)
+        d[a, b] = d[b, a] = d[a, b] * float(rng.choice([1.5, 3.0]))
+    d = d * float(rng.choice([1e-2, 1.0, 1e3, 1e6]))
+    if rng.random() < 0.3:  # asymmetry and diagonal within tol
+        d = d + rng.uniform(-0.45 * TOL, 0.45 * TOL, size=d.shape)
+    return d
+
+
+class TestAgainstTheLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decision_and_witness_match(self, seed):
+        rng = np.random.default_rng([17, seed])
+        for index in range(100):
+            d = random_matrix(rng, index)
+            assert outcome(_check_metric, d) == outcome(loop_check_metric, d), (seed, index)
+
+    def test_fuzz_reaches_both_verdicts(self):
+        rng = np.random.default_rng([17, 0])
+        verdicts = [outcome(loop_check_metric, random_matrix(rng, i)) for i in range(100)]
+        assert any(v is None for v in verdicts)
+        assert any(v is not None and v[0] == "triangle inequality fails" for v in verdicts)
+
+    def test_valid_n600_never_reaches_the_loop(self, monkeypatch):
+        d = euclidean(np.random.default_rng(600), 600)
+
+        def fail(*args):
+            raise AssertionError("triangle loop reached")
+
+        monkeypatch.setattr(core, "_check_triangles", fail)
+        _check_metric(d)
+        normalize_metric(d)
+
+    def test_planted_violation_n600_names_the_loop_witness(self):
+        d = line_with_planted_slack(np.random.default_rng(601), 600, 2 * TOL)
+        expect = outcome(loop_check_metric, d)
+        assert expect is not None and expect[0] == "triangle inequality fails"
+        assert outcome(_check_metric, d) == expect
+
+    def test_rounding_margin_at_large_scale(self):
+        # The exact slack c - a - b is below tol and so is every Chebyshev gap,
+        # but the loop rounds a + b down and sees a slack above tol.
+        a = 3 * 2.0**17 + 2.0**-34
+        b = 3 * 2.0**17
+        c = (a + b) + 9 * 2.0**-33
+        assert Fraction(c) - Fraction(a) - Fraction(b) <= Fraction(TOL) < c - (a + b)
+        d = np.array([[0.0, a, c], [a, 0.0, b], [c, b, 0.0]])
+        expect = outcome(loop_check_metric, d)
+        assert expect == ("triangle inequality fails", (0, 1, 2))
+        assert outcome(_check_metric, d) == expect
+
+    def test_asymmetry_within_tol_uses_the_smaller_entry(self):
+        # Collinear 0, 1/4, 1/2 with both lower-triangle entries lowered by
+        # 0.6 tol: the upper triangle alone is tight, the loop sees 1.2 tol.
+        d = np.array([[0.0, 0.25, 0.5], [0.25, 0.0, 0.25], [0.5, 0.25, 0.0]])
+        d[1, 0] -= 0.6 * TOL
+        d[2, 1] -= 0.6 * TOL
+        expect = outcome(loop_check_metric, d)
+        assert expect == ("triangle inequality fails", (2, 1, 0))
+        assert outcome(_check_metric, d) == expect
+
+    def test_valid_at_large_scale_is_accepted(self):
+        d = euclidean(np.random.default_rng(5), 30) * 1e6
+        assert outcome(loop_check_metric, d) is None
+        assert outcome(_check_metric, d) is None
+
+
+NAN3 = np.array([[0.0, 0.5, np.nan], [0.5, 0.0, 0.5], [np.nan, 0.5, 0.0]])
+
+
+class TestNotANumber:
+    def test_normalize_metric(self):
+        with pytest.raises(NotAMetric) as err:
+            normalize_metric(NAN3)
+        assert (err.value.reason, err.value.witness) == ("entry is not a number", (0, 2))
+
+    def test_finite_metric_system(self):
+        with pytest.raises(NotAMetric) as err:
+            FiniteMetricSystem(("a", "b", "c"), NAN3, (0, 1, 2))
+        assert err.value.reason == "entry is not a number"
+
+    def test_checked_before_the_other_entry_checks(self):
+        d = NAN3.copy()
+        d[1, 2] = -1.0  # also negative and asymmetric
+        with pytest.raises(NotAMetric, match="not a number"):
+            normalize_metric(d)
+
+    def test_json_nan_literal(self):
+        text = '{"points": ["a", "b", "c"], "map": [0, 1, 2],' \
+            ' "metric": {"matrix": [[0, 0.5, NaN], [0.5, 0, 0.5], [NaN, 0.5, 0]]}}'
+        with pytest.raises(NotAMetric, match="not a number"):
+            system_from_dict(json.loads(text))
+
+    def test_cli_distances_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "nan.json"
+        spec.write_text(
+            '{"points": ["a", "b", "c"], "map": [1, 2, 0],'
+            ' "metric": {"matrix": [[0, 0.5, NaN], [0.5, 0, 0.5], [NaN, 0.5, 0]]}}'
+        )
+        out = tmp_path / "d.csv"
+        assert main(["distances", "--system", str(spec), "--delta", "0.6", "--out", str(out)]) == 1
+        assert "not a number" in capsys.readouterr().err
+
+    def test_infinity_still_clamps_to_one(self):
+        d = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with np.errstate(invalid="ignore"):
+            assert normalize_metric(d).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def spec(**metric):
+    return {"points": ["a", "b", "c"], "map": [1, 2, 0], "metric": metric}
+
+
+class TestSystemSpecPointers:
+    @pytest.mark.parametrize(
+        "data, pointer",
+        [
+            (spec(matrix=[[0, 0.5, 0.5], [0.5, 0], [0.5, 0.5, 0]]), "/metric/matrix"),
+            (spec(matrix=[[0, 0.5, "x"], [0.5, 0, 0.5], ["x", 0.5, 0]]), "/metric/matrix"),
+            (spec(matrix=[[0, True, 1], [True, 0, 1], [1, 1, 0]]), "/metric/matrix"),
+            (spec(matrix=[0, 1, 2]), "/metric/matrix"),
+            (spec(matrix="0 1"), "/metric/matrix"),
+            (spec(circle_grid=0), "/metric/circle_grid"),
+            (spec(circle_grid=3.0), "/metric/circle_grid"),
+            (spec(circle_grid=True), "/metric/circle_grid"),
+            (spec(line_grid=0), "/metric/line_grid"),
+            (spec(line_grid="3"), "/metric/line_grid"),
+            ({"points": [], "map": [], "metric": {"circle_grid": 3}}, "/points"),
+            ({"points": "abc", "map": [1, 2, 0], "metric": {"circle_grid": 3}}, "/points"),
+            ({"points": ["a", "b", "c"], "map": [1, "x", 0], "metric": {"circle_grid": 3}}, "/map"),
+        ],
+    )
+    def test_rejected_at_pointer(self, data, pointer):
+        with pytest.raises(SchemaError) as err:
+            system_from_dict(data)
+        assert err.value.pointer == pointer
+
+    def test_grids_of_one_point(self):
+        for kind in ("circle_grid", "line_grid"):
+            system, _ = system_from_dict({"points": ["a"], "map": [0], "metric": {kind: 1}})
+            assert system.dist.tolist() == [[0.0]]
+
+    def test_empty_system_constructed_directly(self):
+        with pytest.raises(SchemaError) as err:
+            FiniteMetricSystem((), np.zeros((0, 0)), ())
+        assert err.value.pointer == "/points"
+
+    def test_cli_distances_ragged_matrix_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(spec(matrix=[[0, 0.5, 0.5], [0.5, 0], [0.5, 0.5, 0]])))
+        assert main(["distances", "--system", str(path), "--delta", "0.6"]) == 2
+        assert "/metric/matrix" in capsys.readouterr().err
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    calls = []
+    real = core._check_metric
+
+    def counting(d, tol=1e-9):
+        calls.append(np.shape(d))
+        return real(d, tol)
+
+    monkeypatch.setattr(core, "_check_metric", counting)
+    return calls
+
+
+class TestDerivedSystemsAreNotRechecked:
+    def test_product_system(self, check_calls):
+        a, b = circle_doubling(6), circle_rotation(5, 2)
+        check_calls.clear()
+        prod = product_system(a, b)
+        assert check_calls == []
+        assert prod.n == 30 and outcome(loop_check_metric, prod.dist) is None
+
+    def test_surjective_core(self, check_calls):
+        parent = circle_doubling(12)
+        check_calls.clear()
+        core_ids, sub = surjective_core(parent)
+        assert check_calls == []
+        assert np.array_equal(sub.dist, parent.dist[np.ix_(core_ids, core_ids)])
+        assert not np.shares_memory(sub.dist, parent.dist)
+
+    def test_builders(self, check_calls):
+        circle_doubling(9)
+        circle_rotation(9, 4)
+        assert check_calls == []
+        random_metric(9, seed=3)
+        assert check_calls == [(9, 9)]
+
+    def test_system_from_dict_checks_the_input_once(self, check_calls):
+        system, clamped = system_from_dict(spec(matrix=[[0, 2, 2], [2, 0, 2], [2, 2, 0]]))
+        assert check_calls == [(3, 3)]
+        assert clamped and system.dist.max() == 1.0
+
+    def test_direct_construction_is_still_checked(self, check_calls):
+        FiniteMetricSystem(("a", "b"), 1.0 - np.eye(2), (1, 0))
+        assert check_calls == [(2, 2)]
+        with pytest.raises(NotAMetric, match="triangle"):
+            FiniteMetricSystem(("a", "b", "c"), np.array([[0, 1, 0.1], [1, 0, 0.1], [0.1, 0.1, 0]]), (0, 1, 2))
+        with pytest.raises(NotAMetric, match="exceeds 1"):
+            FiniteMetricSystem(("a", "b"), 2.0 * (1.0 - np.eye(2)), (1, 0))
+
+    def test_dist_is_a_read_only_copy(self):
+        raw = np.array([[0.0, 0.5], [0.5, 0.0]])
+        system, _ = system_from_dict({"points": ["a", "b"], "map": [1, 0], "metric": {"matrix": raw.tolist()}})
+        prod = product_system(system, system)
+        for s in (system, prod, surjective_core(prod)[1], circle_doubling(4), random_metric(4)):
+            assert not s.dist.flags.writeable
+        assert not np.shares_memory(prod.dist, system.dist)
+
+    def test_labels_and_map_still_checked(self):
+        with pytest.raises(SchemaError) as err:
+            system_from_dict({"points": ["a", "b"], "map": [1, 0], "metric": {"circle_grid": 3}})
+        assert err.value.pointer == "/points"
+        with pytest.raises(SchemaError) as err:
+            system_from_dict({"points": ["a", "b", "c"], "map": [1, 0, 3], "metric": {"circle_grid": 3}})
+        assert err.value.pointer == "/map"

@@ -4,7 +4,7 @@ import pytest
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
 from deltachain.core import TOL, FiniteTrajectory
-from deltachain.errors import BadHorizon, InsufficientWindow
+from deltachain.errors import BadHorizon, InsufficientWindow, SchemaError
 from deltachain.shadowing import (
     besicovitch_pi,
     besicovitch_rho,
@@ -287,3 +287,20 @@ class TestBestAverageTracer:
                     best = (cand, total / 10)
             assert z == best[0]
             assert avg == pytest.approx(best[1])
+
+
+class TestPiExceedsLevel:
+    @pytest.mark.parametrize("level", [0.0, -0.5, 1.5, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        sys = circle_doubling(4)
+        x = FiniteTrajectory([0] * 9, origin=4)
+        with pytest.raises(SchemaError) as err:
+            pi_exceeds(sys, x, x, 0, level)
+        assert err.value.pointer == "/level"
+
+    def test_level_one_is_the_centre_coordinate(self):
+        sys = circle_doubling(4)
+        x = FiniteTrajectory([0, 0, 0], origin=1)
+        y = FiniteTrajectory([2, 0, 2], origin=1)
+        assert pi_exceeds(sys, x, y, 0, 1.0) is False
+        assert pi_exceeds(sys, x, FiniteTrajectory([0, 2, 0], origin=1), 0, 0.5) is True
