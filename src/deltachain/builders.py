@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteMetricSystem, _circle_grid_metric, normalize_metric
+from .core import FiniteMetricSystem, _circle_grid_metric, _freeze, normalize_metric
 
 
 def circle_doubling(n):
     """n equally spaced points on the circle with the doubling map i -> 2i mod n."""
     labels = tuple(f"{i}/{n}" for i in range(n))
-    dist = _circle_grid_metric(n)
     image = tuple((2 * i) % n for i in range(n))
-    return FiniteMetricSystem._derived(labels, dist, image)
+    return FiniteMetricSystem(labels, _freeze(_circle_grid_metric(n)), image)
 
 
 def circle_rotation(n, k=1):
     """n equally spaced points on the circle with the rotation i -> i + k mod n."""
     labels = tuple(f"{i}/{n}" for i in range(n))
-    dist = _circle_grid_metric(n)
     image = tuple((i + k) % n for i in range(n))
-    return FiniteMetricSystem._derived(labels, dist, image)
+    return FiniteMetricSystem(labels, _freeze(_circle_grid_metric(n)), image)
 
 
 def random_metric(n, seed=0):
@@ -36,7 +34,7 @@ def random_metric(n, seed=0):
     dist = normalize_metric(raw)
     image = tuple(int(v) for v in rng.integers(0, n, size=n))
     labels = tuple(str(i) for i in range(n))
-    return FiniteMetricSystem._derived(labels, dist, image)
+    return FiniteMetricSystem(labels, dist, image)
 
 
 BUILTIN_SYSTEMS = {

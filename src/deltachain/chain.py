@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .core import TOL, FiniteMetricSystem
+from .core import TOL, FiniteMetricSystem, _immutable
 from .errors import NoChain
 
 
@@ -29,9 +29,7 @@ class ChainGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool).copy()
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "adjacency", _immutable(self.adjacency, bool))
 
     @property
     def n(self):
@@ -45,8 +43,11 @@ class ChainGraph:
 
     @cached_property
     def certificate(self):
-        """:func:`mixing_certificate` of this graph, computed on first use."""
-        return mixing_certificate(self)
+        """:func:`mixing_certificate` of this graph, computed on first use.
+
+        The adjacency is immutable, so the cached value cannot go stale.
+        """
+        return _certify(self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -75,11 +76,13 @@ def build_chain_graph(sys, delta):
 def _graph_period(adj):
     """gcd of cycle lengths of a strongly connected graph, via BFS levels.
 
-    Every edge u -> v closes a cycle-length difference level(u) + 1 - level(v)
-    against the BFS tree from vertex 0; the period is their gcd.
+    ``adj`` is a dense or CSR adjacency.  Every edge u -> v closes a
+    cycle-length difference level(u) + 1 - level(v) against the BFS tree from
+    vertex 0; the period is their gcd.
     """
-    level = shortest_path(csr_matrix(adj), unweighted=True, indices=0).astype(np.int64)
-    u, v = np.nonzero(adj)
+    graph = csr_matrix(adj)
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    u, v = graph.nonzero()
     return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
@@ -90,29 +93,48 @@ def wielandt_bound(n):
 def mixing_certificate(g):
     """Certify chain mixing of the graph; never raises.
 
-    For a primitive graph the mixing constant is found by scanning boolean
-    matrix powers in the boolean semiring: each product is taken in float64
-    (exact path counts up to 2^53, on BLAS) and thresholded at zero.
+    Returns the graph's cached :attr:`ChainGraph.certificate`, so each graph
+    is certified once however many callers ask.
     """
-    adj = g.adjacency
-    n = g.n
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    strongly_connected = ncomp == 1
-    if not strongly_connected:
+    return g.certificate
+
+
+def _certify(adj):
+    """The :class:`MixingCertificate` of a boolean adjacency matrix."""
+    graph = csr_matrix(adj)
+    ncomp, _ = connected_components(graph, directed=True, connection="strong")
+    if ncomp != 1:
         return MixingCertificate(False, 0, None)
-    period = _graph_period(adj)
+    period = _graph_period(graph)
     if period != 1:
         return MixingCertificate(True, period, None)
-    a = adj.astype(np.float64)
-    power = a
-    m = 1
-    bound = wielandt_bound(n)
-    while not power.all():
-        power = (power @ a > 0).astype(np.float64)
-        m += 1
-        if m > bound:  # unreachable for primitive graphs (Wielandt)
+    return MixingCertificate(True, 1, _mixing_constant(adj))
+
+
+def _mixing_constant(adj):
+    """Least m with A^m all-positive, for a primitive adjacency A.
+
+    Squares to the first all-positive A^(2^J), then lifts bit by bit from
+    the top to the largest exponent whose power is not all-positive: for a
+    primitive A, A^m > 0 implies A^(m+1) > 0, so that exponent is M - 1.
+    This is O(n^3 log M) instead of M products.  Each product is a float32
+    GEMM thresholded at 0, exact because every entry is a path count of at
+    most n < 2^24.
+    """
+    n = adj.shape[0]
+    limit = (wielandt_bound(n) - 1).bit_length() + 1  # ceil(log2 of the bound), plus one
+    powers = [adj.astype(np.float32)]  # powers[j] is A^(2^j), thresholded
+    while not powers[-1].all():
+        if len(powers) > limit:  # unreachable for primitive graphs (Wielandt)
             raise AssertionError("primitive graph exceeded the Wielandt bound")
-    return MixingCertificate(True, 1, m)
+        square = powers[-1] @ powers[-1]
+        powers.append((square > 0).astype(np.float32))
+    below, m = None, 0  # below is A^m, not all-positive (m = 0: the identity)
+    for j in range(len(powers) - 2, -1, -1):
+        step = powers[j] if below is None else (below @ powers[j] > 0).astype(np.float32)
+        if not step.all():
+            below, m = step, m + 2**j
+    return m + 1
 
 
 def finite_chain(g, x, y, length):
@@ -120,15 +142,19 @@ def finite_chain(g, x, y, length):
 
     BFS over the layered graph (coordinate = remaining length), realized as a
     backward-reachability table; ties are broken by lowest id so downstream
-    gluing constructions are reproducible bit for bit.
+    gluing constructions are reproducible bit for bit.  The table holds
+    (length + 1) * n bytes: at a Wielandt graph's mixing constant, n = 257
+    and length 65537, that is 16.8 MB.  Each row is one float32 product,
+    exact because every entry counts at most n < 2^24 successors.
     """
     if length < 1:
         raise NoChain(x, y, length)
     adj = g.adjacency
+    a = adj.astype(np.float32)
     reach = np.zeros((length + 1, g.n), dtype=bool)
     reach[0, y] = True
     for t in range(1, length + 1):
-        reach[t] = adj @ reach[t - 1]
+        np.greater(a @ reach[t - 1], 0, out=reach[t])
     if not reach[length, x]:
         raise NoChain(x, y, length)
     walk = [int(x)]

@@ -10,6 +10,7 @@ windows of biinfinite sequences over the point set are held by
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,10 @@ TOL = 1e-12
 
 def _check_metric(d, tol=1e-9):
     """Raise NotAMetric if ``d`` is not a metric matrix; returns nothing.
+
+    A +inf entry is accepted as an extended metric: inf equals inf, and a
+    triangle whose two sides sum to inf holds (``normalize_metric`` clamps
+    inf to 1).  NaN is rejected.
 
     A symmetric d satisfies every triangle inequality iff each row map
     u -> d(u, .) is 1-Lipschitz into l-infinity (Frechet-Kuratowski), i.e.
@@ -47,39 +52,64 @@ def _check_metric(d, tol=1e-9):
     if np.any(d < -tol):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
-    asym = np.abs(d - d.T)
-    if np.max(asym) > tol:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise NotAMetric("not symmetric", (int(i), int(j)))
-    if np.max(np.abs(np.diag(d))) > tol:
-        i = int(np.argmax(np.abs(np.diag(d))))
-        raise NotAMetric("nonzero diagonal", (i, i))
-    gap = pdist(d, "chebyshev") - np.minimum(d, d.T)[np.triu_indices(n, 1)]
-    if np.all(gap <= tol - 16 * np.finfo(float).eps * np.max(np.abs(d))):
-        return
-    _check_triangles(d, tol)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fmax skips
+        asym = np.abs(d - d.T)
+        if np.fmax.reduce(asym, axis=None) > tol:
+            i, j = np.unravel_index(np.nanargmax(asym), asym.shape)
+            raise NotAMetric("not symmetric", (int(i), int(j)))
+        if np.max(np.abs(np.diag(d))) > tol:
+            i = int(np.argmax(np.abs(np.diag(d))))
+            raise NotAMetric("nonzero diagonal", (i, i))
+        gap = pdist(d, "chebyshev") - np.minimum(d, d.T)[np.triu_indices(n, 1)]
+        if np.all(gap <= tol - 16 * np.finfo(float).eps * np.max(np.abs(d))):
+            return
+        _check_triangles(d, tol)
 
 
 def _check_triangles(d, tol):
-    """The exact triangle check: for each middle point j, d[i,k] <= d[i,j] + d[j,k]."""
+    """The exact triangle check: for each middle point j, d[i,k] <= d[i,j] + d[j,k].
+
+    A NaN slack (inf <= inf + x) holds: ``fmax`` skips it where ``max`` would
+    return it and hide every other violation at that middle point.  Call under
+    ``np.errstate(invalid="ignore")``.
+    """
     for j in range(d.shape[0]):
         slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        if np.max(slack) > tol:
-            i, k = np.unravel_index(np.argmax(slack), slack.shape)
+        if np.fmax.reduce(slack, axis=None) > tol:
+            i, k = np.unravel_index(np.nanargmax(slack), slack.shape)
             raise NotAMetric("triangle inequality fails", (int(i), j, int(k)))
+
+
+#: Distance matrices known to be valid metrics with entries in [0, 1], by id.
+#: Each is read-only over an immutable ``bytes`` buffer, so it stays valid.
+_VALID = weakref.WeakValueDictionary()
+
+
+def _immutable(a, dtype):
+    """A read-only copy of ``a`` over a ``bytes`` buffer: numpy cannot make it writable again."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return np.frombuffer(a.tobytes(), dtype=dtype).reshape(a.shape)
+
+
+def _freeze(d):
+    """An immutable copy of a valid distance matrix that FiniteMetricSystem adopts unchecked."""
+    frozen = _immutable(d, float)
+    _VALID[id(frozen)] = frozen
+    return frozen
 
 
 def normalize_metric(raw):
     """Clamp a metric matrix entrywise to ``min(1, raw)``.
 
     The input must already be a metric (symmetric, zero diagonal, triangle
-    inequality); otherwise :class:`NotAMetric` is raised with a violating
-    triple.  Clamping preserves the metric axioms and bounds the diameter
-    by 1.  Idempotent.
+    inequality; +inf entries allowed); otherwise :class:`NotAMetric` is
+    raised with a violating triple.  Clamping preserves the metric axioms and
+    bounds the diameter by 1.  Idempotent.  The result is read-only for good,
+    and :class:`FiniteMetricSystem` adopts it without checking it again.
     """
     raw = np.asarray(raw, dtype=float)
     _check_metric(raw)
-    return np.minimum(raw, 1.0)
+    return _freeze(np.minimum(raw, 1.0))
 
 
 @dataclass(frozen=True)
@@ -87,8 +117,10 @@ class FiniteMetricSystem:
     """A finite point set with a normalized metric and a total self-map.
 
     ``dist`` is an n-by-n matrix with entries in [0, 1]; ``map_image[u]`` is
-    the id of the image of point ``u``.  Instances are immutable after
-    construction and safe to share between workers.
+    the id of the image of point ``u``, an integer.  Instances are immutable
+    after construction and safe to share between workers.  ``dist`` is
+    checked and stored as an immutable copy, unless it is already such a
+    copy: the result of :func:`normalize_metric` or another system's ``dist``.
     """
 
     labels: tuple
@@ -96,16 +128,13 @@ class FiniteMetricSystem:
     map_image: tuple
 
     def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        _check_metric(d)
-        if np.max(d, initial=0.0) > 1.0 + TOL:
-            raise NotAMetric("entry exceeds 1; call normalize_metric first")
-        self._adopt(d)
-
-    def _adopt(self, d):
-        """Store a read-only copy of ``d``; check the labels and the map against it."""
-        d = d.copy()
-        d.setflags(write=False)
+        d = self.dist
+        if _VALID.get(id(d)) is not d:
+            d = np.asarray(d, dtype=float)
+            _check_metric(d)
+            if np.max(d, initial=0.0) > 1.0 + TOL:
+                raise NotAMetric("entry exceeds 1; call normalize_metric first")
+            d = _freeze(d)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         n = d.shape[0]
@@ -113,6 +142,8 @@ class FiniteMetricSystem:
             raise SchemaError("/points", "a system needs at least one point")
         if len(self.labels) != n:
             raise SchemaError("/points", f"expected {n} labels, got {len(self.labels)}")
+        for v in self.map_image:
+            _check_type("/map", v, (int, np.integer))
         image = tuple(int(v) for v in self.map_image)
         if len(image) != n or any(not (0 <= v < n) for v in image):
             raise SchemaError("/map", "map_image must list a valid id for every point")
@@ -121,15 +152,6 @@ class FiniteMetricSystem:
     @property
     def n(self):
         return self.dist.shape[0]
-
-    @classmethod
-    def _derived(cls, labels, dist, map_image):
-        """A system on a metric that is valid by construction: the metric is not re-checked."""
-        system = object.__new__(cls)
-        object.__setattr__(system, "labels", labels)
-        object.__setattr__(system, "map_image", map_image)
-        system._adopt(np.asarray(dist, dtype=float))
-        return system
 
     def rho(self, u, v):
         return float(self.dist[u, v])
@@ -282,7 +304,7 @@ def product_system(a, b, cap=100_000):
     image = tuple(
         a.map_image[u] * b.n + b.map_image[v] for u in range(a.n) for v in range(b.n)
     )
-    return FiniteMetricSystem._derived(labels, dist, image)
+    return FiniteMetricSystem(labels, _freeze(dist), image)
 
 
 def surjective_core(sys):
@@ -302,7 +324,7 @@ def surjective_core(sys):
     dist = sys.dist[np.ix_(core, core)]
     labels = tuple(sys.labels[u] for u in core)
     image = tuple(index[sys.map_image[u]] for u in core)
-    return core, FiniteMetricSystem._derived(labels, dist, image)
+    return core, FiniteMetricSystem(labels, _freeze(dist), image)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +369,6 @@ def system_from_dict(data):
     if not data["points"]:
         raise SchemaError("/points", "a system needs at least one point")
     _check_type("/map", data["map"], (list,))
-    for v in data["map"]:
-        _check_type("/map", v, (int,))
     metric = data["metric"]
     if not isinstance(metric, dict) or len(metric) != 1:
         raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")
@@ -370,7 +390,7 @@ def system_from_dict(data):
         raise SchemaError(pointer, "unknown metric kind")
     dist = normalize_metric(raw)
     clamped = bool(np.any(dist < raw - TOL))
-    system = FiniteMetricSystem._derived(tuple(data["points"]), dist, tuple(data["map"]))
+    system = FiniteMetricSystem(tuple(data["points"]), dist, tuple(data["map"]))
     return system, clamped
 
 

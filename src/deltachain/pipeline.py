@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
-from .chain import build_chain_graph
+from .chain import build_chain_graph, mixing_certificate
 from .core import _check_type, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
@@ -143,7 +143,7 @@ def _config_hash(cfg):
 def _level_entry(sys, n, cfg):
     delta = 1.0 / n
     graph = build_chain_graph(sys, delta)
-    cert = graph.certificate
+    cert = mixing_certificate(graph)
     entry = {
         "n": n,
         "delta": delta,

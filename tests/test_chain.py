@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,13 +195,13 @@ class TestGraphPeriod:
 class TestCachedCertificate:
     def counting(self, monkeypatch):
         calls = []
-        real = chain.mixing_certificate
+        real = chain._certify
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
+        def counted(adjacency):
+            calls.append(adjacency)
+            return real(adjacency)
 
-        monkeypatch.setattr(chain, "mixing_certificate", counted)
+        monkeypatch.setattr(chain, "_certify", counted)
         return calls
 
     def test_computed_once_per_graph(self, monkeypatch):
@@ -312,3 +314,132 @@ class TestExports:
         dot = to_dot(g)
         assert dot.startswith("digraph")
         assert dot.count("->") == g.edge_count()
+
+
+def wielandt_adjacency(n):
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus the chord n-1 -> 1; M = (n-1)^2 + 1."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n), (np.arange(n) + 1) % n] = True
+    adj[n - 1, 1] = True
+    return adj
+
+
+def power_positive(adj, e):
+    """Whether the boolean power A^e (e >= 1) is all-positive: float64 squaring, thresholded."""
+    base = np.asarray(adj, dtype=float)
+    result = None
+    while e:
+        if e & 1:
+            result = base if result is None else (result @ base > 0).astype(float)
+        e >>= 1
+        if e:
+            base = (base @ base > 0).astype(float)
+    return bool(result.all())
+
+
+def scan_mixing_constant(adj):
+    """The one-power-at-a-time scan the certificate used before squaring, as an oracle."""
+    a = np.asarray(adj, dtype=np.float64)
+    power, m = a, 1
+    while not power.all():
+        power = (power @ a > 0).astype(np.float64)
+        m += 1
+    return m
+
+
+def wielandt_graph(n):
+    return chain.ChainGraph(circle_doubling(n), 0.0, wielandt_adjacency(n))
+
+
+class TestMixingConstantBySquaring:
+    @pytest.mark.parametrize("n", [40, 80, 120, 257])
+    def test_wielandt_graphs(self, n):
+        g = wielandt_graph(n)
+        start = time.perf_counter()
+        cert = mixing_certificate(g)
+        elapsed = time.perf_counter() - start
+        m = cert.mixing_constant
+        assert (cert.strongly_connected, cert.period) == (True, 1)
+        assert m == wielandt_bound(n) == (n - 1) ** 2 + 1
+        # least: A^M is all-positive and A^(M-1) is not (the powers are monotone from M on)
+        assert power_positive(g.adjacency, m) and not power_positive(g.adjacency, m - 1)
+        assert elapsed < 1.0
+
+    def test_random_primitive_graphs_match_the_scan(self):
+        rng = np.random.default_rng(9)
+        checked = []
+        while len(checked) < 200:
+            n = int(rng.integers(2, 61))
+            adj = np.zeros((n, n), dtype=bool)
+            cycle = rng.permutation(n)
+            adj[cycle, np.roll(cycle, -1)] = True  # a Hamiltonian cycle: strongly connected
+            density = rng.choice([0.5, 0.1, 2.0 / n, 0.0])
+            adj |= rng.random((n, n)) < density
+            if density == 0.0:  # one chord: M up to the Wielandt bound
+                adj[rng.integers(n), rng.integers(n)] = True
+            if oracle_period(adj) != 1:
+                continue
+            m = scan_mixing_constant(adj)
+            assert chain._certify(adj) == chain.MixingCertificate(True, 1, m)
+            checked.append(m)
+        assert min(checked) <= 2 and max(checked) > 500
+
+    def test_not_primitive_has_no_constant(self):
+        adj = np.zeros((6, 6), dtype=bool)
+        adj[np.arange(6), (np.arange(6) + 1) % 6] = True
+        adj[0, 4] = True  # cycles of lengths 6 and 3: period 3
+        assert chain._certify(adj) == chain.MixingCertificate(True, 3, None)
+        adj[1, 0] = True  # adds a 2-cycle: period gcd(3, 2) = 1
+        assert chain._certify(adj).mixing_constant == scan_mixing_constant(adj)
+
+    def test_one_point(self):
+        assert chain._certify(np.ones((1, 1), dtype=bool)) == chain.MixingCertificate(True, 1, 1)
+        assert chain._certify(np.zeros((1, 1), dtype=bool)).mixing_constant is None
+
+
+class TestCertifiedOnce:
+    def test_certify_call_order_computes_once(self, monkeypatch):
+        calls = []
+        real = chain._certify
+        monkeypatch.setattr(chain, "_certify", lambda adjacency: calls.append(1) or real(adjacency))
+        g = build_chain_graph(circle_doubling(15), 0.2)
+        cert = mixing_certificate(g)
+        segment = IntervalSegment(0, 2, FiniteTrajectory([0] * 7, origin=2))
+        spec = SpacedSpecification((segment, IntervalSegment(20, 22, FiniteTrajectory([0] * 27, origin=2))))
+        chain_out = trace_specification(spec, g, 0.5)
+        assert verify_trace(chain_out, spec, g, 0.5)[0]
+        assert mixing_certificate(g) is cert
+        assert len(calls) == 1
+
+    def test_adjacency_and_dist_cannot_be_made_writable(self):
+        g = build_chain_graph(circle_doubling(9), 0.2)
+        for array in (g.system.dist, g.adjacency):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+            with pytest.raises(ValueError):
+                array[0, 0] = array[0, 1]
+
+    def test_adjacency_is_a_copy(self):
+        adj = wielandt_adjacency(5)
+        g = chain.ChainGraph(circle_doubling(5), 0.0, adj)
+        adj[0, 0] = True
+        assert not g.adjacency[0, 0]
+        assert g.certificate.mixing_constant == wielandt_bound(5)
+
+
+class TestFiniteChainAtTheMixingConstant:
+    def test_wielandt_257_at_length_m(self):
+        g = wielandt_graph(257)
+        m = g.certificate.mixing_constant
+        # 0 -> 0 needs a closed walk of length M or more: lengths are a*n + b*(n-1)
+        with pytest.raises(NoChain):
+            finite_chain(g, 0, 0, m - 1)
+        tracemalloc.start()
+        walk = finite_chain(g, 0, 0, m)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(walk) == m + 1 and walk[0] == walk[-1] == 0
+        assert g.adjacency[walk[:-1], walk[1:]].all()
+        table = (m + 1) * g.n  # bytes, as the docstring states
+        assert table < peak < table + 4 * 2**20

@@ -6,6 +6,7 @@ the same witness on every input.
 """
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -315,3 +316,90 @@ class TestDerivedSystemsAreNotRechecked:
         with pytest.raises(SchemaError) as err:
             system_from_dict({"points": ["a", "b", "c"], "map": [1, 0, 3], "metric": {"circle_grid": 3}})
         assert err.value.pointer == "/map"
+
+
+class TestCheckedOnce:
+    def test_normalized_matrix_is_adopted_unchecked(self, check_calls):
+        raw = euclidean(np.random.default_rng(2), 12) * 3
+        dist = normalize_metric(raw)
+        system = FiniteMetricSystem(tuple("abcdefghijkl"), dist, tuple(range(12)))
+        assert check_calls == [(12, 12)]
+        assert system.dist is dist
+        assert np.array_equal(dist, np.minimum(raw, 1.0))
+
+    def test_equal_but_other_arrays_are_checked(self, check_calls):
+        dist = normalize_metric(1.0 - np.eye(3))
+        for other in (np.array(dist), dist[:], dist.copy(), dist.tolist()):
+            FiniteMetricSystem(("a", "b", "c"), other, (1, 2, 0))
+        assert check_calls == [(3, 3)] * 5
+
+    def test_a_checked_system_dist_is_reused_unchecked(self, check_calls):
+        system = FiniteMetricSystem(("a", "b"), 1.0 - np.eye(2), (1, 0))
+        again = FiniteMetricSystem(("c", "d"), system.dist, (0, 1))
+        assert check_calls == [(2, 2)]
+        assert again.dist is system.dist
+
+    def test_frozen_arrays_cannot_be_made_writable(self):
+        raw = np.array([[0.0, 0.5], [0.5, 0.0]])
+        system, _ = system_from_dict({"points": ["a", "b"], "map": [1, 0], "metric": {"matrix": raw.tolist()}})
+        prod = product_system(system, system)
+        systems = (system, prod, surjective_core(prod)[1], circle_doubling(4), circle_rotation(4), random_metric(4))
+        for s in systems:
+            for array in (s.dist, s.dist.base):
+                with pytest.raises(ValueError):
+                    array.setflags(write=True)
+        with pytest.raises(ValueError):
+            normalize_metric(raw).setflags(write=True)
+
+    def test_registry_forgets_dead_arrays(self):
+        dist = normalize_metric(1.0 - np.eye(2))
+        key = id(dist)
+        assert core._VALID.get(key) is dist
+        del dist
+        assert core._VALID.get(key) is None
+
+
+class TestMapEntries:
+    @pytest.mark.parametrize("image", [(1.7, 0.2), (1.0, 0.0), (True, False), ("1", "0"), (np.bool_(True), 0)])
+    def test_non_integer_entries_are_rejected(self, image):
+        with pytest.raises(SchemaError) as err:
+            FiniteMetricSystem(("a", "b"), 1.0 - np.eye(2), image)
+        assert err.value.pointer == "/map"
+
+    def test_numpy_integers_are_accepted(self):
+        for image in ((np.int64(1), np.int32(0)), np.array([1, 0]), np.array([1, 0], dtype=np.uint8)):
+            system = FiniteMetricSystem(("a", "b"), 1.0 - np.eye(2), image)
+            assert system.map_image == (1, 0) and all(type(v) is int for v in system.map_image)
+
+
+INF = np.inf
+
+
+class TestInfiniteEntries:
+    def test_two_points_at_infinity_normalize_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normalize_metric(np.array([[0.0, INF], [INF, 0.0]])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_infinite_third_side_is_rejected_with_the_loop_witness(self):
+        d = np.array([[0.0, 1.0, INF], [1.0, 0.0, 1.0], [INF, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            expect = outcome(loop_check_metric, d)
+        assert expect == ("triangle inequality fails", (0, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(_check_metric, d) == expect
+            assert outcome(normalize_metric, d) == expect
+
+    def test_violation_next_to_an_infinite_pair_is_found(self):
+        # at middle point 1, inf - (inf + 0.1) is NaN; a NaN maximum used to hide 0.5 > 0.1 + 0.1
+        d = np.array([[0, INF, INF, INF], [INF, 0, 0.1, 0.1], [INF, 0.1, 0, 0.5], [INF, 0.1, 0.5, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(_check_metric, d) == ("triangle inequality fails", (2, 1, 3))
+
+    def test_asymmetry_next_to_an_infinite_pair_is_found(self):
+        d = np.array([[0, INF, INF], [INF, 0, 0.5], [INF, 0.4, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(_check_metric, d) == ("not symmetric", (1, 2))
