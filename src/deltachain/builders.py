@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FiniteMetricSystem, _circle_grid_metric, _freeze, normalize_metric
+from .errors import SchemaError
 
 
 def circle_doubling(n):
@@ -26,6 +27,8 @@ def random_metric(n, seed=0):
 
     Euclidean distances are normalized by min(1, .) via normalize_metric.
     """
+    if n < 1:
+        raise SchemaError("/n", "a system needs at least one point")
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     diff = pts[:, None, :] - pts[None, :, :]

@@ -31,6 +31,10 @@ class ChainGraph:
     def __post_init__(self):
         object.__setattr__(self, "adjacency", _immutable(self.adjacency, bool))
 
+    def __reduce__(self):
+        # rebuild through the constructor: a frozen adjacency, no stale certificate
+        return ChainGraph, (self.system, self.delta, self.adjacency)
+
     @property
     def n(self):
         return self.adjacency.shape[0]
@@ -166,6 +170,15 @@ def finite_chain(g, x, y, length):
     return walk
 
 
+def _glue(g, blocks, lengths):
+    """Blocks in cyclic order, each joined to the next by the inside of a lengths[i]-step walk."""
+    word = []
+    for block, nxt, length in zip(blocks, blocks[1:] + blocks[:1], lengths):
+        word.extend(block)
+        word.extend(finite_chain(g, block[-1], nxt[0], length)[1:-1])
+    return word
+
+
 def chain_family(sys, n_max):
     """Chain graphs at delta = 1, 1/2, ..., 1/n_max (decreasing, nested)."""
     if n_max < 1:
@@ -175,8 +188,8 @@ def chain_family(sys, n_max):
 
 def is_delta_chain(traj, g):
     """True iff every consecutive pair of the trajectory is an edge of g."""
-    ids = traj.entries
-    return all(g.adjacency[ids[i], ids[i + 1]] for i in range(len(ids) - 1))
+    ids = np.asarray(traj.entries)
+    return bool(g.adjacency[ids[:-1], ids[1:]].all())
 
 
 def critical_deltas(sys):

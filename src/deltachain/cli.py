@@ -18,7 +18,7 @@ from contextlib import nullcontext
 
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, to_adjacency_lines, to_dot
-from .core import FiniteTrajectory, IntervalSegment, load_system, system_to_dict
+from .core import FiniteTrajectory, IntervalSegment, _field, _read_json, load_system, system_to_dict
 from .errors import DeltachainError, NotMixing, SchemaError
 from .measures import _rho_bar_matrices, ergodic_measures_of_graph, pi_bar_matrices
 from .pipeline import density_demo, emit_report, load_config, run_pipeline
@@ -26,10 +26,21 @@ from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
 
 
-def _load_trajectory(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return FiniteTrajectory(data["entries"], data.get("origin", 0))
+def _load_trajectory(data, system, pointer=""):
+    """A trajectory from ``{"entries": [point ids of system], "origin": k}`` at ``pointer``."""
+    try:
+        traj = FiniteTrajectory(_field(data, "entries", pointer, (list,)), data.get("origin", 0))
+    except SchemaError as exc:
+        raise SchemaError(pointer + exc.pointer, exc.reason) from None
+    if max(traj.entries) >= system.n:
+        raise SchemaError(f"{pointer}/entries", f"point ids must lie in [0, {system.n})")
+    return traj
+
+
+def _unit_interval(text):
+    if not 0.0 <= float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return float(text)
 
 
 def _write(text, out):
@@ -61,8 +72,8 @@ def _cmd_chain_graph(args):
 
 def _cmd_besicovitch(args):
     system, _ = load_system(args.system)
-    x = _load_trajectory(args.x)
-    y = _load_trajectory(args.y)
+    x = _load_trajectory(_read_json(args.x), system)
+    y = _load_trajectory(_read_json(args.y), system)
     if args.variant == "rho":
         est = besicovitch_rho(x, y, system, args.horizon)
     elif args.variant == "hat":
@@ -85,12 +96,12 @@ def _cmd_besicovitch(args):
 def _cmd_trace_spec(args):
     system, _ = load_system(args.system)
     graph = build_chain_graph(system, args.delta)
-    with open(args.spec) as fh:
-        data = json.load(fh)
     segments = []
-    for seg in data["segments"]:
-        source = FiniteTrajectory(seg["source"]["entries"], seg["source"].get("origin", 0))
-        segments.append(IntervalSegment(seg["a"], seg["b"], source))
+    for i, seg in enumerate(_field(_read_json(args.spec), "segments", types=(list,))):
+        pointer = f"/segments/{i}"
+        a, b = (_field(seg, key, pointer, (int,)) for key in ("a", "b"))
+        source = _load_trajectory(_field(seg, "source", pointer), system, f"{pointer}/source")
+        segments.append(IntervalSegment(a, b, source))
     spec = SpacedSpecification(tuple(segments))
     chain = trace_specification(spec, graph, args.eps)
     ok, detail = verify_trace(chain, spec, graph, args.eps)
@@ -154,7 +165,7 @@ def build_parser():
 
     p = sub.add_parser("chain-graph", help="export a chain graph")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_unit_interval, required=True)
     p.add_argument("--emit", choices=["dot", "adj"], default="adj")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_chain_graph)
@@ -170,7 +181,7 @@ def build_parser():
 
     p = sub.add_parser("trace-spec", help="periodic gluing of spaced segments")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_unit_interval, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--emit")
@@ -178,7 +189,7 @@ def build_parser():
 
     p = sub.add_parser("distances", help="pairwise distances between ergodic measures")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_unit_interval, required=True)
     p.add_argument("--period-cap", type=int, default=5)
     p.add_argument("--cap", type=int, default=10_000)
     p.add_argument("--radius", type=int, default=8)

@@ -149,6 +149,10 @@ class FiniteMetricSystem:
             raise SchemaError("/map", "map_image must list a valid id for every point")
         object.__setattr__(self, "map_image", image)
 
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled dist is frozen again
+        return FiniteMetricSystem, (self.labels, self.dist, self.map_image)
+
     @property
     def n(self):
         return self.dist.shape[0]
@@ -180,10 +184,15 @@ class FiniteTrajectory:
     origin: int = 0
 
     def __post_init__(self):
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(self.entries)
         if not entries:
             raise SchemaError("/entries", "trajectory must be non-empty")
-        object.__setattr__(self, "entries", entries)
+        for v in dict(zip(map(type, entries), entries)).values():  # one entry per type
+            _check_type("/entries", v, (int, np.integer))
+        if min(entries) < 0:
+            raise SchemaError("/entries", "point ids must be >= 0")
+        _check_type("/origin", self.origin, (int, np.integer))
+        object.__setattr__(self, "entries", tuple(int(v) for v in entries))
 
     @property
     def min_coord(self):
@@ -198,9 +207,7 @@ class FiniteTrajectory:
         return self.min_coord <= lo and hi <= self.max_coord
 
     def at(self, k):
-        if not self.covers(k, k):
-            raise InsufficientWindow(f"coordinate {k} not covered")
-        return self.entries[self.origin + k]
+        return self.window(k, k)[0]
 
     def window(self, lo, hi):
         """Ids at coordinates lo..hi inclusive."""
@@ -260,14 +267,22 @@ def pi_distance(sys, x, y, radius):
     otherwise the tail bound itself is returned as an upper bound with
     ``exact=False``.  Both trajectories must cover [-radius, radius].
     """
+    values, tail = _pi_values(sys, x, y, 0, 0, radius)
+    value = float(values[0])
+    return value, value > tail
+
+
+def _pi_values(sys, x, y, lo, hi, radius):
+    """:func:`pi_distance` values at the shifts j = lo .. hi, and the tail 1/(radius+2).
+
+    Each is the truncated maximum if it exceeds the tail by more than TOL, else the tail.
+    """
     K = int(radius)
     if K < 1:
         raise InsufficientWindow("radius must be a positive integer")
     tail = 1.0 / (K + 2)
-    value = float(_truncated_max(sys.dist, _windows(x, 0, 0, K), _windows(y, 0, 0, K))[0])
-    if value > tail + TOL:
-        return value, True
-    return tail, False
+    values = _truncated_max(sys.dist, _windows(x, lo, hi, K), _windows(y, lo, hi, K))
+    return np.where(values > tail + TOL, values, tail), tail
 
 
 def window_radius(eps):
@@ -351,6 +366,20 @@ def _check_type(pointer, value, types):
         raise SchemaError(pointer, f"expected {names}, got {type(value).__name__}")
 
 
+def _field(data, key, pointer="", types=None):
+    """``data[key]``, of one of ``types`` if given; else SchemaError at ``pointer/key``."""
+    if not isinstance(data, dict) or key not in data:
+        raise SchemaError(f"{pointer}/{key}", "missing required field")
+    if types:
+        _check_type(f"{pointer}/{key}", data[key], types)
+    return data[key]
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def system_from_dict(data):
     """Build a system from the JSON system-spec structure.
 
@@ -363,8 +392,7 @@ def system_from_dict(data):
     if unknown:
         raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
     for key in ("points", "metric", "map"):
-        if key not in data:
-            raise SchemaError(f"/{key}", "missing required field")
+        _field(data, key)
     _check_type("/points", data["points"], (list,))
     if not data["points"]:
         raise SchemaError("/points", "a system needs at least one point")
@@ -396,9 +424,7 @@ def system_from_dict(data):
 
 def load_system(path):
     """Load a system-spec JSON file; see :func:`system_from_dict`."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return system_from_dict(data)
+    return system_from_dict(_read_json(path))
 
 
 def system_to_dict(sys):

@@ -3,9 +3,9 @@
 Two measure classes are implemented: uniform measures on periodic shift
 orbits (the exact arithmetic of the theory) and 1-step Markov measures
 (enough to represent mixtures and generic measures on the SFT-like chain
-graphs).  Transport values come from exact LP solves; the d-bar-type value
-between non-periodic measures is only ever exposed as an (upper, lower)
-bound pair.
+graphs).  Transport values are HiGHS floating-point LP optima, feasible to
+1e-7, not exact; the d-bar-type value between non-periodic measures is
+only ever exposed as an (upper, lower) bound pair.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from .chain import finite_chain
+from .chain import _glue
 from .core import TOL, _truncated_max
 from .errors import (
     DegenerateWeights,
@@ -193,11 +193,11 @@ def _transport_lps(problems):
 
 
 def w1_distance(mu, nu, cost):
-    """Exact optimal-transport value between two finite distributions.
+    """Optimal-transport value between two finite distributions.
 
     The one-problem case of the stacked transport solver: one HiGHS solve
     of the transport LP, value ``c @ x``, plan checked against both
-    marginals to 1e-9.
+    marginals to 1e-9.  A floating-point optimum, feasible to 1e-7.
     """
     a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]
@@ -287,6 +287,8 @@ def pi_bar_matrices(set_a, set_b, sys, radius):
     attains it and the phase-0 value; see :func:`_phase_scan`.
     """
     K = int(radius)
+    if K < 0:
+        raise SchemaError("/radius", "radius must be >= 0")
     tail = 1.0 / (K + 2)
     return _phase_scan(
         set_a, set_b, K, lambda a, b: np.maximum(_truncated_max(sys.dist, a, b), tail)
@@ -428,6 +430,8 @@ def ergodic_measures_of_graph(g, max_period, cap=10_000):
     """
     if max_period < 1:
         raise SchemaError("/max_period", "max_period must be >= 1")
+    if cap < 0:
+        raise SchemaError("/cap", "cap must be >= 0")
     words, truncated = simple_cycle_words(g.adjacency, max_period, cap)
     return [PeriodicOrbitMeasure(tuple(w)) for arr in words for w in arr.tolist()], truncated
 
@@ -461,13 +465,7 @@ def sigmund_approximation(target, g, block_scale):
     if m is None:
         raise NotMixing("gluing mixture components requires a primitive graph")
     blocks = [list(pm.word) * r for (pm, _), r in zip(components, reps)]
-    word = []
-    for i, block in enumerate(blocks):
-        word.extend(block)
-        nxt = blocks[(i + 1) % len(blocks)]
-        connector = finite_chain(g, block[-1], nxt[0], m)
-        word.extend(connector[1:-1])
-    return PeriodicOrbitMeasure(tuple(word))
+    return PeriodicOrbitMeasure(tuple(_glue(g, blocks, [m] * len(blocks))))
 
 
 def empirical_measure(pm, cylinder_depth):

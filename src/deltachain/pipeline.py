@@ -15,8 +15,8 @@ import numpy as np
 
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
-from .chain import build_chain_graph, mixing_certificate
-from .core import _check_type, load_system, system_from_dict
+from .chain import build_chain_graph, is_delta_chain, mixing_certificate
+from .core import FiniteTrajectory, _check_type, _field, _read_json, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     PeriodicOrbitMeasure,
@@ -85,8 +85,7 @@ def config_from_dict(data):
     for key in data:
         if key not in schema:
             raise SchemaError(f"/{key}", "unknown field")
-    if "system" not in data:
-        raise SchemaError("/system", "missing required field")
+    _field(data, "system")
     for key, hint in schema.items():
         types = typing.get_args(hint) or (hint,)
         if key in data and (data[key] is not None or type(None) not in types):
@@ -113,9 +112,7 @@ def config_from_dict(data):
 
 
 def load_config(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path))
 
 
 def resolve_system(spec):
@@ -256,12 +253,8 @@ def density_demo(cfg, level, sys=None, graph=None):
             raise SchemaError(f"/target/{i}/word", f"point ids must lie in [0, {sys.n})")
     target = [(PeriodicOrbitMeasure(word), weight) for word, weight in cfg.target]
     for i, (pm, _) in enumerate(target):
-        word = pm.word
-        for j in range(len(word)):
-            if not graph.adjacency[word[j], word[(j + 1) % len(word)]]:
-                raise SchemaError(
-                    f"/target/{i}/word", "word is not a cycle of the level graph"
-                )
+        if not is_delta_chain(FiniteTrajectory(pm.word + pm.word[:1]), graph):
+            raise SchemaError(f"/target/{i}/word", "word is not a cycle of the level graph")
     target_cyl = mixture_cylinders(target, cfg.cylinder_depth)
     approxes = [sigmund_approximation(target, graph, scale) for scale in cfg.block_scales]
     pairs = [(empirical_measure(approx, cfg.cylinder_depth), target_cyl) for approx in approxes]
@@ -298,34 +291,23 @@ def emit_report(report, out_dir):
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "distances.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coarse", "fine", "pi_bar_hausdorff", "aligned_bound"])
-        for row in report.cross_level:
-            writer.writerow(
-                [row["coarse"], row["fine"], row["pi_bar_hausdorff"], row["aligned_bound"]]
-            )
-    with open(os.path.join(out_dir, "density.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block_scale", "approx_period", "weakstar_proxy", "pi_bar_upper"])
-        if report.density:
-            for row in report.density["rows"]:
-                writer.writerow(
-                    [
-                        row["block_scale"],
-                        row["approx_period"],
-                        row["weakstar_proxy"],
-                        row["pi_bar_upper"],
-                    ]
-                )
+    density_rows = report.density["rows"] if report.density else []
+    tables = (
+        ("distances.csv", report.cross_level,
+         ("coarse", "fine", "pi_bar_hausdorff", "aligned_bound")),
+        ("density.csv", density_rows,
+         ("block_scale", "approx_period", "weakstar_proxy", "pi_bar_upper")),
+    )
+    for name, rows, columns in tables:
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([row[c] for c in columns] for row in rows)
     plot = {
         "level_vs_distance": [
             [row["fine"], row["pi_bar_hausdorff"]] for row in report.cross_level
         ],
-        "scale_vs_distance": [
-            [row["block_scale"], row["weakstar_proxy"]]
-            for row in (report.density["rows"] if report.density else [])
-        ],
+        "scale_vs_distance": [[row["block_scale"], row["weakstar_proxy"]] for row in density_rows],
     }
     with open(os.path.join(out_dir, "plot_data.json"), "w") as fh:
         json.dump(plot, fh, indent=2, sort_keys=True)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, _truncated_max, _windows
-from .errors import BadHorizon, InsufficientWindow, SchemaError
+from .core import TOL, _pi_values, _windows_within, window_radius
+from .errors import BadHorizon, SchemaError
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ class BesicovitchEstimate:
     error_bar: float = 0.0
 
 
-def _step_errors(seq, sys):
-    ids = seq.entries
-    return np.array(
-        [sys.rho(sys.map_image[ids[j]], ids[j + 1]) for j in range(len(ids) - 1)]
-    )
-
-
 def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=None):
     """Validate a finite sequence against one of the pseudo-orbit notions.
 
@@ -60,11 +53,12 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
     (a callable n -> tolerance); the limit notion fixes no rate, so none is
     built in.
     """
-    ids = seq.entries
+    ids = np.asarray(seq.entries)
     steps = len(ids) - 1
     if steps < 1:
         raise BadHorizon("sequence must contain at least one step")
-    errors = _step_errors(seq, sys)
+    errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
+    prefix = np.concatenate([[0.0], np.cumsum(errors)])
 
     if kind == "delta_chain":
         bad = np.nonzero(errors >= delta - TOL)[0]
@@ -76,7 +70,6 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
     if kind == "delta_average":
         if not 1 <= N <= steps:
             raise BadHorizon(f"need 1 <= N <= {steps}, got N={N}")
-        prefix = np.concatenate([[0.0], np.cumsum(errors)])
         for n in range(N, steps + 1):
             window_sums = prefix[n:] - prefix[:-n]  # all offsets of length n
             bad = np.nonzero(window_sums / n >= delta - TOL)[0]
@@ -89,7 +82,6 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
     if kind == "asymptotic_average":
         if tolerance_schedule is None:
             raise BadHorizon("asymptotic_average requires a tolerance schedule")
-        prefix = np.concatenate([[0.0], np.cumsum(errors)])
         for n in range(max(1, steps // 2), steps + 1):
             if prefix[n] / n >= tolerance_schedule(n) - TOL:
                 return PseudoOrbitReport(kind, 0.0, steps, False, witness=n)
@@ -100,10 +92,9 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
     raise BadHorizon(f"unknown pseudo-orbit kind {kind!r}")
 
 
-def _coordinate_distances(sys, x, y, N):
-    if not (x.covers(0, N - 1) and y.covers(0, N - 1)):
-        raise InsufficientWindow(f"both trajectories must cover [0, {N - 1}]")
-    return sys.dist[np.asarray(x.window(0, N - 1)), np.asarray(y.window(0, N - 1))]
+def _coordinate_distances(sys, x, y, lo, hi):
+    """rho(x_k, y_k) for k = lo .. hi; InsufficientWindow unless both cover them."""
+    return sys.dist[np.asarray(x.window(lo, hi)), np.asarray(y.window(lo, hi))]
 
 
 def besicovitch_rho(x, y, sys, N):
@@ -114,7 +105,7 @@ def besicovitch_rho(x, y, sys, N):
     """
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
-    d = _coordinate_distances(sys, x, y, N)
+    d = _coordinate_distances(sys, x, y, 0, N - 1)
     return BesicovitchEstimate(float(np.mean(d)), N, "rho_B")
 
 
@@ -124,17 +115,10 @@ def besicovitch_pi(x, y, sys, N, K):
     Inexact pi terms contribute their upper bound 1/(K+2), and the estimate
     carries that bound as its error bar.
     """
-    K = int(K)
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
-    if not (x.covers(-K, N - 1 + K) and y.covers(-K, N - 1 + K)):
-        raise InsufficientWindow(f"need coverage of [-{K}, {N - 1 + K}]")
-    if K < 1:
-        raise InsufficientWindow("radius must be a positive integer")
-    tail = 1.0 / (K + 2)
-    values = _truncated_max(sys.dist, _windows(x, 0, N - 1, K), _windows(y, 0, N - 1, K))
-    # the tail rule of pi_distance; the running sum adds in shift order
-    total = float(np.cumsum(np.where(values > tail + TOL, values, tail))[-1])
+    values, tail = _pi_values(sys, x, y, 0, N - 1, K)
+    total = float(np.cumsum(values)[-1])  # the running sum adds in shift order
     return BesicovitchEstimate(total / N, N, "pi_B", error_bar=tail)
 
 
@@ -148,19 +132,14 @@ def hat_rho(x, y, sys, N):
     """
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
-    d = _coordinate_distances(sys, x, y, N)
+    d = np.sort(_coordinate_distances(sys, x, y, 0, N - 1))
     # interval endpoints: 0, the distinct positive distances, and 1
-    cuts = sorted(set([0.0] + [float(v) for v in d if v > TOL] + [1.0]))
-    best = 1.0
-    for idx in range(len(cuts)):
-        lo = cuts[idx]
-        hi = cuts[idx + 1] if idx + 1 < len(cuts) else float("inf")
-        # on (lo, hi] the exceedance count is constant
-        count = int(np.count_nonzero(d > lo + TOL))
-        threshold = count / N
-        if threshold < hi - TOL:
-            best = max(lo, threshold)
-            break
+    cuts = np.unique(np.concatenate([[0.0], d[d > TOL], [1.0]]))
+    # on (lo, hi] the exceedance count #{d > lo + TOL} is constant
+    thresholds = (N - np.searchsorted(d, cuts + TOL, side="right")) / N
+    # the first interval whose fraction falls below its top; the last top is inf
+    idx = int(np.argmax(thresholds < np.append(cuts[1:], np.inf) - TOL))
+    best = max(float(cuts[idx]), float(thresholds[idx]))
     return BesicovitchEstimate(min(best, 1.0), N, "hat_rho")
 
 
@@ -172,8 +151,7 @@ def pi_exceeds(sys, x, y, k, level):
     """
     if not 0.0 < level <= 1.0:
         raise SchemaError("/level", "level must lie in (0, 1]")
-    W = int(1.0 / level - 1.0 + TOL)
-    return bool((sys.dist[_windows(x, k, k, W), _windows(y, k, k, W)] >= level - TOL).any())
+    return not _windows_within(sys, level, x, y, k, k)[0]
 
 
 def equivalence_bound_check(x, y, sys, N, delta):
@@ -195,16 +173,11 @@ def equivalence_bound_check(x, y, sys, N, delta):
         raise BadHorizon("horizon must be >= 1")
     if not 0.0 < delta <= 1.0:
         raise BadHorizon("delta must lie in (0, 1]")
-    n_d = int(1.0 / delta - 1.0 + TOL)
+    n_d = window_radius(delta)
     delta_prime = delta / (2 * n_d + 1)
-    lo, hi = -n_d, N - 1 + n_d
-    if not (x.covers(lo, hi) and y.covers(lo, hi)):
-        raise InsufficientWindow(f"need coverage of [{lo}, {hi}]")
-    rho_vals = np.array([sys.rho(x.at(k), y.at(k)) for k in range(lo, hi + 1)])
     # pi(S^k .) >= delta iff some coordinate within n_d of k has rho >= delta
-    binding = rho_vals >= delta - TOL
-    windows = np.lib.stride_tricks.sliding_window_view(binding, 2 * n_d + 1)
-    pi_count = int(np.count_nonzero(windows.any(axis=1)))
+    pi_count = int(np.count_nonzero(~_windows_within(sys, delta, x, y, 0, N - 1)))
+    rho_vals = _coordinate_distances(sys, x, y, -n_d, N - 1 + n_d)
     rho_prime_count = int(np.count_nonzero(rho_vals >= delta_prime - TOL))
     rho_delta_count = int(
         np.count_nonzero(rho_vals[n_d : n_d + N] >= delta - TOL)
@@ -229,9 +202,7 @@ def best_average_tracer(p, sys, N):
     """
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
-    if not p.covers(0, N - 1):
-        raise InsufficientWindow(f"trajectory must cover [0, {N - 1}]")
-    targets = np.array([p.at(j) for j in range(N)])
+    targets = np.asarray(p.window(0, N - 1))
     current = np.arange(sys.n)
     image = np.asarray(sys.map_image)
     totals = np.zeros(sys.n)

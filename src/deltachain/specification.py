@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import finite_chain, is_delta_chain
+from .chain import _glue, is_delta_chain
 from .core import FiniteTrajectory, _windows_within
 from .errors import (
     InsufficientMargin,
@@ -123,16 +123,9 @@ def trace_specification(spec, g, eps):
                 f"gap before segment {i} is {spacing}, need at least k = {k}"
             )
     blocks = [_segment_block(seg, n_margin, g, i) for i, seg in enumerate(segs)]
-    word = []
-    for i, block in enumerate(blocks):
-        word.extend(block)
-        if i + 1 < len(segs):
-            gap = segs[i + 1].a - segs[i].b - 2 * n_margin + 2
-        else:
-            gap = m  # close the period as if the wraparound spacing were k
-        target = blocks[(i + 1) % len(blocks)][0]
-        connector = finite_chain(g, block[-1], target, gap + 1)
-        word.extend(connector[1:-1])
+    gaps = [nxt.a - prev.b - 2 * n_margin + 2 for prev, nxt in zip(segs, segs[1:])]
+    # close the period as if the wraparound spacing were k; a gap takes gap + 1 steps
+    word = _glue(g, blocks, [gap + 1 for gap in gaps + [m]])
     # coordinate 0 must carry segment 1 at a_1 = 0; block 1 starts at -(N-1)
     return PeriodicChain(tuple(word), origin_offset=n_margin - 1)
 

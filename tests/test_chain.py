@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 import tracemalloc
 
@@ -426,6 +427,56 @@ class TestCertifiedOnce:
         adj[0, 0] = True
         assert not g.adjacency[0, 0]
         assert g.certificate.mixing_constant == wielandt_bound(5)
+
+
+class TestPickle:
+    def test_round_trip_stays_frozen(self):
+        g = build_chain_graph(circle_doubling(5), 0.4)
+        cert = g.certificate  # cached before pickling
+        back = pickle.loads(pickle.dumps(g))
+        system = pickle.loads(pickle.dumps(circle_doubling(5)))
+        for array in (system.dist, back.system.dist, back.adjacency):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        assert "certificate" not in vars(back)  # recomputed from the frozen copy
+        assert back.certificate == cert
+        assert np.array_equal(back.adjacency, g.adjacency) and back.delta == g.delta
+        for s in (system, back.system):
+            assert np.array_equal(s.dist, g.system.dist)
+            assert (s.labels, s.map_image) == (g.system.labels, g.system.map_image)
+
+
+class TestIsDeltaChain:
+    def loop(self, ids, g):
+        return all(g.adjacency[ids[i], ids[i + 1]] for i in range(len(ids) - 1))
+
+    def test_equals_the_step_loop(self):
+        rng = np.random.default_rng(40)
+        verdicts = set()
+        for case in range(300):
+            sys = random_metric(int(rng.integers(1, 10)), seed=case)
+            g = build_chain_graph(sys, float(rng.uniform(0.0, 0.6)))
+            walk = [int(rng.integers(0, sys.n))]
+            for _ in range(int(rng.integers(0, 12))):
+                step = g.successors(walk[-1]) if rng.random() < 0.9 else np.arange(sys.n)
+                walk.append(int(rng.choice(step)))
+            got = is_delta_chain(FiniteTrajectory(walk), g)
+            assert got is self.loop(walk, g)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_one_entry_is_a_chain_of_any_graph(self):
+        sys = circle_doubling(5)
+        g = chain.ChainGraph(sys, 0.0, np.zeros((5, 5), dtype=bool))
+        assert is_delta_chain(FiniteTrajectory([3]), g) is True
+        assert is_delta_chain(FiniteTrajectory([3, 3]), g) is False
+
+    def test_cycle_missing_its_closing_edge(self):
+        # at delta 1/5 on the 15-point doubling grid, 0 -> 3 is an edge, 3 -> 0 is not
+        g = build_chain_graph(circle_doubling(15), 0.2)
+        assert is_delta_chain(FiniteTrajectory([0, 3]), g) is True
+        assert is_delta_chain(FiniteTrajectory([0, 3, 0]), g) is False
 
 
 class TestFiniteChainAtTheMixingConstant:

@@ -228,3 +228,70 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["level"] == 5
         assert len(doc["rows"]) == 2
+
+
+class TestInputValidation:
+    """Each malformed input is a schema error (exit 2) where it enters."""
+
+    @pytest.mark.parametrize(
+        "x, pointer",
+        [
+            ({"entries": [-1, 2]}, "/entries"),
+            ({"entries": [0, 2.7]}, "/entries"),
+            ({"entries": [0, True]}, "/entries"),
+            ({"entries": [0, 99]}, "/entries"),
+            ({"entries": "0 1"}, "/entries"),
+            ({"origin": 0}, "/entries"),
+            ({"entries": [0, 1], "origin": 0.5}, "/origin"),
+        ],
+    )
+    def test_besicovitch_trajectories(self, grid15_file, tmp_path, capsys, x, pointer):
+        (tmp_path / "x.json").write_text(json.dumps(x))
+        (tmp_path / "y.json").write_text(json.dumps({"entries": [0, 1]}))
+        args = ["besicovitch", "--system", grid15_file, "--horizon", "2"]
+        assert main(args + ["--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "y.json")]) == 2
+        assert f"schema error: {pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "segment, pointer",
+        [
+            ({"a": 0, "b": 3, "source": {"entries": [0] * 5 + [15], "origin": 1}},
+             "/segments/0/source/entries"),
+            ({"a": 0, "b": 3, "source": {"entries": [0] * 6, "origin": "1"}},
+             "/segments/0/source/origin"),
+            ({"a": 0, "source": {"entries": [0] * 6, "origin": 1}}, "/segments/0/b"),
+            ({"a": 0.0, "b": 3, "source": {"entries": [0] * 6, "origin": 1}}, "/segments/0/a"),
+            ({"a": 0, "b": 3}, "/segments/0/source"),
+        ],
+    )
+    def test_trace_spec_segments(self, grid15_file, tmp_path, capsys, segment, pointer):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"segments": [segment]}))
+        args = ["trace-spec", "--system", grid15_file, "--delta", "0.2", "--eps", "0.5"]
+        assert main(args + ["--spec", str(spec)]) == 2
+        assert f"schema error: {pointer}:" in capsys.readouterr().err
+
+    def test_trace_spec_without_segments(self, grid15_file, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"segment": []}))
+        args = ["trace-spec", "--system", grid15_file, "--delta", "0.2", "--eps", "0.5"]
+        assert main(args + ["--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize("delta", ["1.5", "-0.1", "nan", "x"])
+    def test_delta_outside_the_unit_interval(self, grid15_file, delta):
+        with pytest.raises(SystemExit) as exit_:
+            main(["chain-graph", "--system", grid15_file, "--delta", delta])
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--radius", "--cap"])
+    def test_distances_negative_radius_or_cap(self, grid15_file, tmp_path, capsys, flag):
+        out = tmp_path / "dist.csv"
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "2"]
+        assert main(args + [flag, "-1", "--out", str(out)]) == 2
+        assert f"schema error: /{flag[2:]}:" in capsys.readouterr().err
+
+    def test_random_metric_needs_a_point(self, tmp_path, capsys):
+        out = tmp_path / "sys.json"
+        assert main(["generate", "random-metric", "--n", "-1", "--out", str(out)]) == 2
+        assert main(["generate", "random-metric", "--n", "0", "--out", str(out)]) == 2
+        assert not out.exists()

@@ -14,7 +14,7 @@ from deltachain.core import (
     system_from_dict,
     window_check,
 )
-from deltachain.errors import InsufficientWindow, NotAMetric, SizeOverflow
+from deltachain.errors import InsufficientWindow, NotAMetric, SchemaError, SizeOverflow
 
 
 def two_point_system():
@@ -130,6 +130,25 @@ class TestShifted:
     def test_shift_composes(self):
         x = FiniteTrajectory(list(range(9)), origin=4)
         assert x.shifted(2).shifted(1).at(0) == x.at(3)
+
+
+class TestTrajectoryInput:
+    @pytest.mark.parametrize("entries", [[-1, 2], [0, 2.7], [0, 2.0], [True, 1], ["1"]])
+    def test_entries_must_be_point_ids(self, entries):
+        with pytest.raises(SchemaError) as err:
+            FiniteTrajectory(entries)
+        assert err.value.pointer == "/entries"
+
+    @pytest.mark.parametrize("origin", [1.5, 1.0, True, "1", None])
+    def test_origin_must_be_an_integer(self, origin):
+        with pytest.raises(SchemaError) as err:
+            FiniteTrajectory([0, 1], origin)
+        assert err.value.pointer == "/origin"
+
+    def test_numpy_integers_are_accepted(self):
+        x = FiniteTrajectory(np.array([3, 0, 2]), np.int64(1))
+        assert x.entries == (3, 0, 2) and x.at(0) == 0
+        assert {type(v) for v in x.entries} == {int}
 
 
 class TestWindowCheck:

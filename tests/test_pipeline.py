@@ -199,6 +199,12 @@ class TestDensityDemo:
         with pytest.raises(SchemaError):
             density_demo(cfg, 5)
 
+    def test_rejects_a_word_whose_closing_edge_is_missing(self):
+        cfg = small_config(n_max=5, target=[{"word": [0, 3], "weight": 1.0}])  # 3 -> 0 is no edge
+        with pytest.raises(SchemaError) as err:
+            density_demo(cfg, 5)
+        assert err.value.pointer == "/target/0/word"
+
     def test_requires_target(self):
         cfg = small_config()
         with pytest.raises(SchemaError):

@@ -3,7 +3,7 @@ import pytest
 
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
-from deltachain.core import TOL, FiniteTrajectory
+from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
 from deltachain.errors import BadHorizon, InsufficientWindow, SchemaError
 from deltachain.shadowing import (
     besicovitch_pi,
@@ -304,3 +304,116 @@ class TestPiExceedsLevel:
         y = FiniteTrajectory([2, 0, 2], origin=1)
         assert pi_exceeds(sys, x, y, 0, 1.0) is False
         assert pi_exceeds(sys, x, FiniteTrajectory([0, 2, 0], origin=1), 0, 0.5) is True
+
+
+# ---------------------------------------------------------------------------
+# The per-cut, per-coordinate loops these functions ran before they shared the
+# core gathers, kept here as oracles.
+
+
+def loop_hat_rho(d, N):
+    cuts = sorted(set([0.0] + [float(v) for v in d if v > TOL] + [1.0]))
+    best = 1.0
+    for idx in range(len(cuts)):
+        lo = cuts[idx]
+        hi = cuts[idx + 1] if idx + 1 < len(cuts) else float("inf")
+        threshold = int(np.count_nonzero(d > lo + TOL)) / N
+        if threshold < hi - TOL:
+            best = max(lo, threshold)
+            break
+    return min(best, 1.0)
+
+
+def loop_pi_exceeds(sys, x, y, k, level):
+    W = int(1.0 / level - 1.0 + TOL)
+    return any(sys.rho(x.at(k + j), y.at(k + j)) >= level - TOL for j in range(-W, W + 1))
+
+
+def loop_equivalence_counts(x, y, sys, N, delta):
+    n_d = int(1.0 / delta - 1.0 + TOL)
+    rho = {k: sys.rho(x.at(k), y.at(k)) for k in range(-n_d, N + n_d)}
+    return {
+        "pi_at_delta": sum(
+            any(rho[k + j] >= delta - TOL for j in range(-n_d, n_d + 1)) for k in range(N)
+        ),
+        "rho_at_delta_prime": sum(v >= delta / (2 * n_d + 1) - TOL for v in rho.values()),
+        "rho_at_delta": sum(rho[k] >= delta - TOL for k in range(N)),
+        "window_radius": n_d,
+        "delta_prime": delta / (2 * n_d + 1),
+    }
+
+
+def near_pair(rng, sys, lo, hi):
+    """Trajectories covering [lo, hi]: random ids, or an orbit and a copy with a few ids redrawn."""
+    span = hi - lo + 1
+    if rng.random() < 0.5:
+        return [FiniteTrajectory(rng.integers(0, sys.n, span).tolist(), -lo) for _ in range(2)]
+    ids = sys.orbit(int(rng.integers(0, sys.n)), span)
+    other = list(ids)
+    for j in rng.integers(0, span, int(rng.integers(0, 4))):
+        other[j] = int(rng.integers(0, sys.n))
+    return FiniteTrajectory(ids, -lo), FiniteTrajectory(other, -lo)
+
+
+SYSTEMS = (circle_doubling(8), circle_doubling(15), random_metric(9, seed=4))
+
+
+class TestFoldedKernelsAgainstLoops:
+    def test_hat_rho_equals_the_per_cut_loop(self):
+        rng = np.random.default_rng(30)
+        for case in range(300):
+            sys = SYSTEMS[case % 3]
+            N = int(rng.integers(1, 60))
+            x, y = near_pair(rng, sys, 0, N - 1 + int(rng.integers(0, 3)))
+            d = np.array([sys.rho(x.at(k), y.at(k)) for k in range(N)])
+            value = hat_rho(x, y, sys, N).value
+            assert type(value) is float
+            assert value == loop_hat_rho(d, N)
+
+    def test_hat_rho_at_distances_within_tol_of_a_cut(self):
+        # point 0 sits at distances within TOL of 1/4 and 1/2, the fractions
+        # count / N takes for N = 4, 8, and TOL/2 from the last point, its
+        # twin; all other pairs are at 0.4
+        near = [0.25, 0.25 + TOL / 2, 0.25 + TOL, 0.5 - TOL / 2, 0.5, 0.5 + TOL / 2, 0.5 + TOL]
+        n = len(near) + 2
+        dist = np.full((n, n), 0.4)
+        np.fill_diagonal(dist, 0.0)
+        dist[0, 1:-1] = dist[1:-1, 0] = dist[-1, 1:-1] = dist[1:-1, -1] = near
+        dist[0, -1] = dist[-1, 0] = TOL / 2
+        sys = FiniteMetricSystem(tuple(str(i) for i in range(n)), dist, tuple(range(n)))
+        rng = np.random.default_rng(33)
+        for case in range(400):
+            N = (4, 8)[case % 2]
+            x = FiniteTrajectory([0] * N)
+            y = FiniteTrajectory(rng.choice(n, N, p=[0.4] + [0.6 / (n - 1)] * (n - 1)).tolist())
+            d = np.array([sys.rho(0, v) for v in y.entries])
+            assert hat_rho(x, y, sys, N).value == loop_hat_rho(d, N)
+
+    @pytest.mark.parametrize("level", [1.0, 0.5, 1.0 / 3, 1.0 / 7, None])
+    def test_pi_exceeds_equals_the_window_scan(self, level):
+        rng = np.random.default_rng(31)
+        for case in range(100):
+            sys = SYSTEMS[case % 3]
+            lv = float(rng.uniform(0.05, 1.0)) if level is None else level
+            W = int(1.0 / lv - 1.0 + TOL)
+            x, y = near_pair(rng, sys, -W - 2, W + 2)
+            for k in range(-2, 3):
+                assert pi_exceeds(sys, x, y, k, lv) is loop_pi_exceeds(sys, x, y, k, lv)
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 1.0 / 3, 1.0 / 7, None])
+    def test_equivalence_counts_equal_the_loop(self, delta):
+        rng = np.random.default_rng(32)
+        for case in range(60):
+            sys = SYSTEMS[case % 3]
+            dl = float(rng.uniform(0.05, 1.0)) if delta is None else delta
+            n_d = int(1.0 / dl - 1.0 + TOL)
+            N = int(rng.integers(1, 40))
+            x, y = near_pair(rng, sys, -n_d, N - 1 + n_d)
+            ok, counts = equivalence_bound_check(x, y, sys, N, dl)
+            expected = loop_equivalence_counts(x, y, sys, N, dl)
+            assert counts == expected
+            assert [type(counts[key]) for key in ("pi_at_delta", "rho_at_delta")] == [int, int]
+            assert ok is (
+                expected["pi_at_delta"] <= (2 * n_d + 1) * expected["rho_at_delta_prime"]
+                and expected["pi_at_delta"] >= expected["rho_at_delta"]
+            )
