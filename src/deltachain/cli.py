@@ -43,6 +43,13 @@ def _unit_interval(text):
     return float(text)
 
 
+def _radius(text):
+    """A radius >= 0, checked as argparse reads it, so no command output starts first."""
+    if int(text) < 0:
+        raise SchemaError("/radius", f"radius must be >= 0, got {text}")
+    return int(text)
+
+
 def _write(text, out):
     if out:
         with open(out, "w") as fh:
@@ -192,7 +199,7 @@ def build_parser():
     p.add_argument("--delta", type=_unit_interval, required=True)
     p.add_argument("--period-cap", type=int, default=5)
     p.add_argument("--cap", type=int, default=10_000)
-    p.add_argument("--radius", type=int, default=8)
+    p.add_argument("--radius", type=_radius, default=8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_distances)
 
@@ -211,9 +218,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=_sys.stderr)

@@ -6,6 +6,25 @@ orbits (the exact arithmetic of the theory) and 1-step Markov measures
 graphs).  Transport values are HiGHS floating-point LP optima, feasible to
 1e-7, not exact; the d-bar-type value between non-periodic measures is
 only ever exposed as an (upper, lower) bound pair.
+
+The library's tolerances, and what each guards:
+
+==========================  =====  =========================================
+name (where)                value  guards
+==========================  =====  =========================================
+``TOL`` (core)              1e-12  every threshold comparison on distances
+                                   (delta, eps, window and tail levels), so
+                                   exact dyadic grid values do not flip on
+                                   rounding
+metric check (core)         1e-9   the symmetry and triangle slack that
+                                   ``_check_metric`` forgives in a raw metric
+``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, and
+                                   every transport plan against its marginals
+``bound_holds`` (pipeline)  1e-9   the sampled pi-bar Hausdorff value against
+                                   its phase-0 bound
+HiGHS feasibility           1e-7   primal and dual feasibility of each LP
+                                   optimum (the solver's default)
+==========================  =====  =========================================
 """
 
 from __future__ import annotations
@@ -141,8 +160,16 @@ class CouplingResult:
 
 
 def _solve(c, a_eq, b_eq, what):
-    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0."""
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0.
+
+    HiGHS runs without presolve, on every LP.  These transport and coupling
+    LPs are small, and each transport block is already cut to its mass
+    support (see :func:`_transport_lps`), so presolve costs more than it
+    removes; the model and its optimum stay the same.
+    """
+    res = linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
+    )
     if res.status == 1:
         raise SolverIterationCap(f"{what} LP hit its iteration limit")
     if not res.success:
@@ -160,35 +187,47 @@ def _transport_pattern(n1, n2):
 def _transport_lps(problems):
     """Solve independent transport problems ``(a, b, cost)`` as one LP.
 
-    Their constraint blocks are stacked block-diagonally, so HiGHS is called
-    once.  The blocks share no variables, so the joint optimum restricted to
-    a block is optimal for it: each value is read as ``c_b @ x_b`` and each
-    plan is checked against its own marginals to ``MARGINAL_TOL``.  Returns
-    one :class:`CouplingResult` per problem.
+    Each problem is reduced to its mass support, the rows where a != 0 and
+    the columns where b != 0 (only exact zeros are dropped): with x >= 0 a
+    zero-mass row or column forces its plan entries to 0, so the optimum is
+    the same.  The reduced blocks are stacked block-diagonally and solved in
+    one HiGHS call without presolve (see :func:`_solve`); a block with an
+    empty support on either side does not reach HiGHS.  The blocks share no
+    variables, so the joint optimum restricted to a block is optimal for it.
+    Each block's solution is written into a zero plan of the full shape, its
+    value is read as ``cost @ plan``, and the plan is checked against its
+    own marginals to ``MARGINAL_TOL``.  Returns one :class:`CouplingResult`
+    per problem.
     """
     if not problems:
         return []
-    rows, cols, n_rows, offsets = [], [], 0, [0]
+    rows, cols, c, b_eq, supports, n_rows, n_cols = [], [], [], [], [], 0, 0
     for a, b, cost in problems:
         n1, n2 = cost.shape
         if a.shape != (n1,) or b.shape != (n2,):
             raise SchemaError("/cost", "cost shape must match the two marginals")
-        row, col = _transport_pattern(n1, n2)
-        rows.append(n_rows + row)
-        cols.append(offsets[-1] + col)
-        n_rows += n1 + n2 - 1
-        offsets.append(offsets[-1] + n1 * n2)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, offsets[-1]))
-    c = np.concatenate([cost.ravel() for _, _, cost in problems])
-    b_eq = np.concatenate([np.concatenate([a, b[:-1]]) for a, b, _ in problems])
-    res = _solve(c, a_eq, b_eq, "transport")
+        i, j = np.flatnonzero(a), np.flatnonzero(b)
+        supports.append((i, j, n_cols))
+        if len(i) and len(j):
+            row, col = _transport_pattern(len(i), len(j))
+            rows.append(n_rows + row)
+            cols.append(n_cols + col)
+            c.append(cost[np.ix_(i, j)].ravel())
+            b_eq += [a[i], b[j[:-1]]]
+            n_rows += len(i) + len(j) - 1
+            n_cols += len(i) * len(j)
+    x = np.zeros(0)
+    if n_cols:
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
+        x = _solve(np.concatenate(c), a_eq, np.concatenate(b_eq), "transport").x
     out = []
-    for (a, b, cost), lo, hi in zip(problems, offsets, offsets[1:]):
-        plan = res.x[lo:hi].reshape(cost.shape)
+    for (a, b, cost), (i, j, lo) in zip(problems, supports):
+        plan = np.zeros(cost.shape)
+        plan[np.ix_(i, j)] = x[lo : lo + len(i) * len(j)].reshape(len(i), len(j))
         if np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b])).max() > MARGINAL_TOL:
             raise Infeasible("transport plan violates its marginals")
-        out.append(CouplingResult(float(c[lo:hi] @ res.x[lo:hi]), plan, "optimal"))
+        out.append(CouplingResult(float(cost.ravel() @ plan.ravel()), plan, "optimal"))
     return out
 
 

@@ -290,6 +290,25 @@ class TestInputValidation:
         assert main(args + [flag, "-1", "--out", str(out)]) == 2
         assert f"schema error: /{flag[2:]}:" in capsys.readouterr().err
 
+    def test_distances_negative_radius_writes_no_file(self, grid15_file, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--radius", "-1"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "schema error: /radius:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_distances_negative_radius_without_cycles(self, tmp_path, capsys):
+        # no cycle is enumerated at delta 0 with period cap 1, so no kernel sees the radius
+        system, out = tmp_path / "rot.json", tmp_path / "d.csv"
+        assert main(["generate", "circle-rotation", "--n", "5", "--k", "1", "--out", str(system)]) == 0
+        args = ["distances", "--system", str(system), "--delta", "0", "--period-cap", "1"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text() == "i,j,rho_bar,pi_bar\n"
+        out.unlink()
+        assert main(args + ["--radius", "-1", "--out", str(out)]) == 2
+        assert "schema error: /radius:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_metric_needs_a_point(self, tmp_path, capsys):
         out = tmp_path / "sys.json"
         assert main(["generate", "random-metric", "--n", "-1", "--out", str(out)]) == 2

@@ -193,8 +193,9 @@ class TestW1Distance:
         with pytest.raises(SchemaError):
             w1_distance(np.array([1.0]), np.array([1.0]), np.zeros((2, 2)))
 
-    def test_matches_loop_built_lp_bit_for_bit(self):
-        # the transport LP assembled entry by entry, in the same COO order
+    def test_matches_loop_built_lp_bit_for_bit(self, monkeypatch):
+        # the transport LP assembled entry by entry, in the same COO order,
+        # solved with the options of the library's own solve
         rng = np.random.default_rng(4)
         for n1, n2 in ((1, 1), (1, 5), (4, 1), (7, 3), (12, 12)):
             a, b = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
@@ -209,11 +210,12 @@ class TestW1Distance:
                     rows.append(n1 + j)
                     cols.append(i * n2 + j)
             a_eq = coo_matrix(([1.0] * len(rows), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
+            calls = counting_linprog(monkeypatch)
+            res = w1_distance(a, b, cost)
             ref = linprog(
                 cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b[:-1]]),
-                bounds=(0, None), method="highs",
+                bounds=(0, None), method="highs", options=calls[0][1]["options"],
             )
-            res = w1_distance(a, b, cost)
             assert res.value == float(ref.fun)
             assert np.array_equal(res.plan, ref.x.reshape(n1, n2))
 
@@ -311,6 +313,88 @@ class TestTransportLPs:
                 b = np.array([y[w].get(k, 0.0) for k in support])
                 want += 2.0 ** -w * dense_transport_value(a, b, cost)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def dense_weakstar_value(cyl_a, cyl_b, depth, sys):
+    """Independent weak* proxy: one dense LP per depth over the union of both supports."""
+    total = 0.0
+    for w in range(1, depth + 1):
+        support = sorted(set(cyl_a[w]) | set(cyl_b[w]))
+        cost = np.array([[max(sys.rho(u, v) for u, v in zip(s, t)) for t in support] for s in support])
+        a = np.array([cyl_a[w].get(k, 0.0) for k in support])
+        b = np.array([cyl_b[w].get(k, 0.0) for k in support])
+        total += 2.0 ** -w * dense_transport_value(a, b, cost)
+    return total
+
+
+class TestMassSupport:
+    """Each transport block is solved on the rows where a != 0 and the columns where b != 0."""
+
+    def problems(self):
+        rng = np.random.default_rng(21)
+        rows = np.array([0.0, 0.3, 0.0, 0.2, 0.5])
+        cols = np.array([0.25, 0.0, 0.25, 0.0, 0.0, 0.5])
+        full5, full6 = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(6))
+        return [
+            (rows, full6, rng.random((5, 6))),  # zero-mass rows
+            (full5, cols, rng.random((5, 6))),  # zero-mass columns
+            (rows, cols, rng.random((5, 6))),  # both
+            (np.array([1.0]), np.array([0.0, 0.4, 0.6, 0.0]), rng.random((1, 4))),  # 1 x n
+            (np.zeros(3), np.zeros(4), rng.random((3, 4))),  # no mass at all
+            (full5, full6, rng.random((5, 6))),  # full support
+            # over every column, HiGHS returns -0.0 in this problem's dropped row
+            (np.array([0.0, 1.0]), np.array([0.5, 0.5, 0.0]), np.array([[0, 1, 2], [1, 0, 1.0]])),
+        ]
+
+    def test_matches_dense_lp_over_every_column(self):
+        problems = self.problems()
+        stacked = measures._transport_lps(problems)
+        for (a, b, cost), res in zip(problems, stacked):
+            (single,) = measures._transport_lps([(a, b, cost)])
+            for got in (res, single):
+                assert got.plan.shape == cost.shape
+                assert got.value == pytest.approx(dense_transport_value(a, b, cost), abs=1e-9)
+                assert np.max(np.abs(got.plan.sum(axis=1) - a)) <= measures.MARGINAL_TOL
+                assert np.max(np.abs(got.plan.sum(axis=0) - b)) <= measures.MARGINAL_TOL
+                # a dropped row or column is exactly 0.0, never -0.0
+                off = got.plan[(a == 0)[:, None] | (b == 0)[None, :]]
+                assert np.all(off == 0.0) and not np.any(np.signbit(off))
+
+    def test_stacked_lp_has_only_support_columns(self, monkeypatch):
+        problems = self.problems()
+        calls = counting_linprog(monkeypatch)
+        measures._transport_lps(problems)
+        (c,), kwargs = calls[0]
+        sizes = [(np.count_nonzero(a), np.count_nonzero(b)) for a, b, _ in problems]
+        assert len(c) == kwargs["A_eq"].shape[1] == sum(m1 * m2 for m1, m2 in sizes)
+        assert kwargs["A_eq"].shape[0] == sum(m1 + m2 - 1 for m1, m2 in sizes if m1 * m2)
+        assert kwargs["method"] == "highs" and kwargs["options"] == {"presolve": False}
+
+    def test_block_without_mass_makes_no_call(self, monkeypatch):
+        cost = np.random.default_rng(22).random((3, 4))
+        calls = counting_linprog(monkeypatch)
+        (res,) = measures._transport_lps([(np.zeros(3), np.zeros(4), cost)])
+        assert calls == []
+        assert res.value == 0.0 and np.array_equal(res.plan, np.zeros((3, 4)))
+        for a, b in ((np.array([0.0, 1.0, 0.0]), np.zeros(4)), (np.zeros(3), np.full(4, 0.25))):
+            with pytest.raises(Infeasible):  # mass on one side only
+                measures._transport_lps([(a, b, cost)])
+        assert calls == []
+
+    def test_weakstar_disjoint_and_identical_supports(self):
+        sys = random_metric(7, seed=23)
+        p, q = PeriodicOrbitMeasure((0, 1, 2)), PeriodicOrbitMeasure((3, 4, 5, 6, 4))
+        pairs = [
+            # disjoint: every union support splits into the two words' blocks
+            (empirical_measure(p, 3), empirical_measure(q, 3)),
+            # identical supports with different weights: nothing is dropped
+            (mixture_cylinders([(p, 0.3), (q, 0.7)], 3), mixture_cylinders([(p, 0.6), (q, 0.4)], 3)),
+            (empirical_measure(q, 3), empirical_measure(q, 3)),
+        ]
+        got = weakstar_proxies(pairs, 3, sys)
+        for (x, y), value in zip(pairs, got):
+            assert value == pytest.approx(dense_weakstar_value(x, y, 3, sys), abs=1e-9)
+        assert got[0] > 0.0 and got[2] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRhoBarPeriodic:
@@ -613,7 +697,10 @@ class TestMarkovAssembly:
             for attr in ("row", "col", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(ref_a, attr))
             assert np.array_equal(kwargs["b_eq"], ref_b) and np.array_equal(c, ref_c)
-            ref = linprog(ref_c, A_eq=ref_a, b_eq=ref_b, bounds=(0, None), method="highs")
+            ref = linprog(
+                ref_c, A_eq=ref_a, b_eq=ref_b, bounds=(0, None), method="highs",
+                options=kwargs["options"],
+            )
             assert res.value == float(ref.fun)
             assert np.array_equal(res.plan, ref.x[: n1 * n2].reshape(n1, n2))
 
