@@ -25,6 +25,8 @@ from .pipeline import density_demo, emit_report, load_config, run_pipeline
 from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
 
+_DISTANCE_PAIRS = 1 << 16  # bound on the pairs of one block of rows in ``distances``
+
 
 def _load_trajectory(data, system, pointer=""):
     """A trajectory from ``{"entries": [point ids of system], "origin": k}`` at ``pointer``."""
@@ -127,15 +129,22 @@ def _cmd_distances(args):
     system, _ = load_system(args.system)
     graph = build_chain_graph(system, args.delta)
     measures, truncated = ergodic_measures_of_graph(graph, args.period_cap, args.cap)
-    # one batched rho_bar and pi_bar call per row i, written before the next row
+    # one rho_bar and one pi_bar call per block of rows lo .. hi-1 against
+    # measures[lo+1:], each row's entries j > i written before the next block
+    n = len(measures)
     with open(args.out, "w", newline="") if args.out else nullcontext(_sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "rho_bar", "pi_bar"])
-        for i, a in enumerate(measures):
-            rest = measures[i + 1 :]
-            rho_vals = _rho_bar_matrices([a], rest, system.dist)[0][0].tolist()
-            pi_vals = pi_bar_matrices([a], rest, system, args.radius)[0][0].tolist()
-            writer.writerows(zip([i] * len(rest), range(i + 1, len(measures)), rho_vals, pi_vals))
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + max(1, _DISTANCE_PAIRS // max(1, n - lo - 1)))
+            rows, rest = measures[lo:hi], measures[lo + 1 :]
+            rho = _rho_bar_matrices(rows, rest, system.dist)[0]
+            pi = pi_bar_matrices(rows, rest, system, args.radius)[0]
+            for r, i in enumerate(range(lo, hi)):
+                js = range(i + 1, n)
+                writer.writerows(zip([i] * len(js), js, rho[r, r:].tolist(), pi[r, r:].tolist()))
+            lo = hi
     if truncated:
         print(f"# ergodic enumeration truncated at cap {args.cap}", file=_sys.stderr)
     return 0

@@ -19,7 +19,8 @@ name (where)                value  guards
 metric check (core)         1e-9   the symmetry and triangle slack that
                                    ``_check_metric`` forgives in a raw metric
 ``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, and
-                                   every transport plan against its marginals
+                                   every transport plan against its marginals;
+                                   a config target's weight sum
 ``bound_holds`` (pipeline)  1e-9   the sampled pi-bar Hausdorff value against
                                    its phase-0 bound
 HiGHS feasibility           1e-7   primal and dual feasibility of each LP
@@ -225,7 +226,8 @@ def _transport_lps(problems):
     for (a, b, cost), (i, j, lo) in zip(problems, supports):
         plan = np.zeros(cost.shape)
         plan[np.ix_(i, j)] = x[lo : lo + len(i) * len(j)].reshape(len(i), len(j))
-        if np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b])).max() > MARGINAL_TOL:
+        gaps = np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b]))
+        if gaps.max(initial=0.0) > MARGINAL_TOL:
             raise Infeasible("transport plan violates its marginals")
         out.append(CouplingResult(float(cost.ravel() @ plan.ravel()), plan, "optimal"))
     return out
@@ -538,18 +540,18 @@ def weakstar_proxies(pairs, depth, sys):
     """:func:`weakstar_proxy` for every ``(cyl_a, cyl_b)`` in ``pairs``.
 
     The transport problems of every pair and every depth are solved as one
-    block-diagonal LP; each total is summed over depths 1 .. depth in order.
+    block-diagonal LP, each on the two supports (block cost the max coordinate
+    distance); each total is summed over depths 1 .. depth in order.
     """
     problems = []
     for cyl_a, cyl_b in pairs:
         if any(w not in cyl for cyl in (cyl_a, cyl_b) for w in range(1, depth + 1)):
             raise DepthMismatch(f"cylinder distributions must reach depth {depth}")
         for w in range(1, depth + 1):
-            support = sorted(set(cyl_a[w]) | set(cyl_b[w]))
-            a = np.array([cyl_a[w].get(b, 0.0) for b in support])
-            b = np.array([cyl_b[w].get(b, 0.0) for b in support])
-            blocks = np.array(support)
-            cost = sys.dist[blocks[:, None, :], blocks[None, :, :]].max(axis=2)
+            sides = [sorted(cyl[w].items()) for cyl in (cyl_a, cyl_b)]
+            ids_a, ids_b = (np.array([k for k, _ in s], dtype=int).reshape(-1, w) for s in sides)
+            a, b = (np.array([mass for _, mass in s], dtype=float) for s in sides)
+            cost = sys.dist[ids_a[:, None, :], ids_b[None, :, :]].max(axis=2)
             problems.append((a, b, cost))
     values = iter(res.value for res in _transport_lps(problems))
     totals = [0.0] * len(pairs)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import typing
@@ -19,6 +20,7 @@ from .chain import build_chain_graph, is_delta_chain, mixing_certificate
 from .core import FiniteTrajectory, _check_type, _field, _read_json, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
+    MARGINAL_TOL,
     PeriodicOrbitMeasure,
     _hausdorff,
     empirical_measure,
@@ -66,6 +68,14 @@ class PipelineConfig:
         for i, scale in enumerate(self.block_scales):
             if scale < 1:
                 raise SchemaError(f"/block_scales/{i}", "must be >= 1")
+        for i, (word, weight) in enumerate(self.target or ()):
+            if not word:
+                raise SchemaError(f"/target/{i}/word", "word must be non-empty")
+            if not weight > 0:  # a NaN weight fails too
+                raise SchemaError(f"/target/{i}/weight", "must be > 0")
+        # the rule sigmund_approximation applies, checked before any level is computed
+        if self.target and abs(sum(w for _, w in self.target) - 1.0) > MARGINAL_TOL:
+            raise SchemaError("/target", "weights must sum to 1")
 
 
 @dataclass
@@ -160,33 +170,25 @@ def _level_entry(sys, n, cfg):
     return graph, words, entry
 
 
-def _stratified(count, cap):
-    """Deterministic evenly spaced indices into a shortest-first list.
+def _sampled_orbits(words, cap):
+    """Orbit measures of at most ``cap`` evenly spaced per-length cycle words.
 
-    Returns (indices, is_full).  Evenly spaced indices keep every period
+    The words run shortest first, so evenly spaced indices keep every period
     stratum represented without depending on the RNG.
     """
-    if count <= cap:
-        return range(count), True
-    return sorted({round(i * (count - 1) / (cap - 1)) for i in range(cap)}), False
-
-
-def _sampled_orbits(words, cap):
-    """Orbit measures of the ``_stratified`` sample of per-length cycle words.
-
-    Returns (orbits, is_full); measures are built for the sampled words only.
-    """
     starts = np.cumsum([0] + [len(w) for w in words])
-    idx, full = _stratified(int(starts[-1]), cap)
+    count = int(starts[-1])
+    idx = range(count)
+    if count > cap:
+        idx = sorted({round(i * (count - 1) / (cap - 1)) for i in range(cap)})
     length = np.searchsorted(starts, idx, side="right") - 1
-    orbits = [
+    return [
         PeriodicOrbitMeasure(tuple(words[k][i - starts[k]].tolist())) for i, k in zip(idx, length)
     ]
-    return orbits, full
 
 
 def run_pipeline(cfg):
-    """Full analysis: per-level certification, cross-level distances, density demo."""
+    """Per-level certification, cross-level table from one pi_bar_matrices call, density demo."""
     sys = resolve_system(cfg.system)
     report = PipelineReport()
     report.provenance = {
@@ -195,42 +197,40 @@ def run_pipeline(cfg):
         "system_points": sys.n,
         "seed": cfg.seed,
     }
-    graphs, samples, counts = {}, {}, {}
-    for n in range(1, cfg.n_max + 1):
-        graph, words, entry = _level_entry(sys, n, cfg)
-        graphs[n] = graph
-        samples[n] = _sampled_orbits(words, cfg.hausdorff_sample)
-        counts[n] = entry["ergodic_count"]
-        report.levels.append(entry)
-    for n in range(1, cfg.n_max + 1):
-        for m in range(n + 1, cfg.n_max + 1):
-            if not counts[n] or not counts[m]:
-                report.errors.append(
-                    {"stage": "cross_level", "pair": [n, m], "reason": "empty ergodic set"}
-                )
-                continue
-            (coarse, coarse_full), (fine, fine_full) = samples[n], samples[m]
-            best, _, aligned = pi_bar_matrices(coarse, fine, sys, cfg.pi_radius)
-            value = _hausdorff(best)
-            # one-sided consistency: the phase-0 value dominates pi_bar
-            # pairwise, so its Hausdorff value dominates the reported one
-            # (same sampling on both sides).
-            bound = _hausdorff(aligned)
-            exhaustive = coarse_full and fine_full
-            report.cross_level.append(
-                {
-                    "coarse": n,
-                    "fine": m,
-                    "pi_bar_hausdorff": value,
-                    "aligned_bound": bound,
-                    "sampled": not exhaustive,
-                    "bound_holds": bool(value <= bound + 1e-9),
-                }
+    levels = [_level_entry(sys, n, cfg) for n in range(1, cfg.n_max + 1)]
+    report.levels = [entry for _, _, entry in levels]
+    samples = [_sampled_orbits(words, cfg.hausdorff_sample) for _, words, _ in levels]
+    short = [len(s) < entry["ergodic_count"] for s, entry in zip(samples, report.levels)]
+    # an entry depends only on its two words: a level pair's slice is its own call, bit for bit
+    coarse, fine = sum(samples[:-1], []), sum(samples[1:], [])
+    best, _, aligned = pi_bar_matrices(coarse, fine, sys, cfg.pi_radius)
+    at = np.cumsum([0] + [len(s) for s in samples])
+    for n, m in itertools.combinations(range(1, cfg.n_max + 1), 2):
+        if not samples[n - 1] or not samples[m - 1]:
+            report.errors.append(
+                {"stage": "cross_level", "pair": [n, m], "reason": "empty ergodic set"}
             )
-    if cfg.target is not None:
+            continue
+        block = np.s_[at[n - 1] : at[n], at[m - 1] - at[1] : at[m] - at[1]]
+        value = _hausdorff(best[block])
+        # one-sided consistency: the phase-0 value dominates pi_bar pairwise, so
+        # its Hausdorff value dominates the reported one (same sampling on both sides)
+        bound = _hausdorff(aligned[block])
+        report.cross_level.append(
+            {
+                "coarse": n,
+                "fine": m,
+                "pi_bar_hausdorff": value,
+                "aligned_bound": bound,
+                "sampled": short[n - 1] or short[m - 1],
+                "bound_holds": bool(value <= bound + 1e-9),
+            }
+        )
+    if cfg.target:
         level = cfg.density_level if cfg.density_level is not None else cfg.n_max
+        graph = levels[level - 1][0] if level <= cfg.n_max else None
         try:
-            report.density = density_demo(cfg, level, sys=sys, graph=graphs.get(level))
+            report.density = density_demo(cfg, level, sys=sys, graph=graph)
         except (NotMixing, DegenerateWeights, SchemaError) as exc:
             report.errors.append({"stage": "density_demo", "reason": str(exc)})
     return report
@@ -246,7 +246,7 @@ def density_demo(cfg, level, sys=None, graph=None):
         graph = build_chain_graph(sys, 1.0 / level)
     if graph.certificate.mixing_constant is None:
         raise NotMixing(f"level {level} graph is not primitive")
-    if cfg.target is None:
+    if not cfg.target:
         raise SchemaError("/target", "density demo requires a target mixture")
     for i, (word, _) in enumerate(cfg.target):
         if any(not 0 <= v < sys.n for v in word):

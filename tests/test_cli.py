@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from deltachain import cli
 from deltachain.chain import build_chain_graph
 from deltachain.cli import main
 from deltachain.core import load_system
@@ -184,6 +185,15 @@ class TestDistances:
                 expected.append(f"{i},{j},{rho_val!r},{pi_val!r}")
         assert len(orbits) > 20
         assert out.read_bytes().decode().split("\r\n") == expected + [""]
+
+    @pytest.mark.parametrize("pairs", [1, 7, 100])
+    def test_row_blocks_give_the_same_table(self, grid15_file, tmp_path, monkeypatch, pairs):
+        # 1 pair per block is one row per call; 7 and 100 put block edges mid-table
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "3"]
+        assert main(args + ["--out", str(tmp_path / "one.csv")]) == 0
+        monkeypatch.setattr(cli, "_DISTANCE_PAIRS", pairs)
+        assert main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 class TestAnalyze:

@@ -396,6 +396,46 @@ class TestMassSupport:
             assert value == pytest.approx(dense_weakstar_value(x, y, 3, sys), abs=1e-9)
         assert got[0] > 0.0 and got[2] == pytest.approx(0.0, abs=1e-12)
 
+    def test_weakstar_cost_is_built_on_the_two_supports(self, monkeypatch):
+        sys = random_metric(7, seed=23)
+        x = empirical_measure(PeriodicOrbitMeasure((0, 1, 2)), 3)
+        mix = [(PeriodicOrbitMeasure((3, 4)), 0.5), (PeriodicOrbitMeasure((1,)), 0.5)]
+        y = mixture_cylinders(mix, 3)
+        seen = []
+        real = measures._transport_lps
+
+        def recording(problems):
+            seen.extend(problems)
+            return real(problems)
+
+        monkeypatch.setattr(measures, "_transport_lps", recording)
+        value = weakstar_proxy(x, y, 3, sys)
+        for w, (a, b, cost) in enumerate(seen, start=1):
+            # the union support squared used to be gathered and then cut back
+            assert cost.shape == (len(x[w]), len(y[w]))
+            assert np.all(a > 0) and np.all(b > 0)
+            blocks_a, blocks_b = sorted(x[w]), sorted(y[w])
+            for i, j in itertools.product(range(len(blocks_a)), range(len(blocks_b))):
+                pairs = zip(blocks_a[i], blocks_b[j])
+                assert cost[i, j] == max(sys.rho(u, v) for u, v in pairs)
+        assert value == pytest.approx(dense_weakstar_value(x, y, 3, sys), abs=1e-9)
+
+    def test_weakstar_both_empty_is_zero(self, monkeypatch):
+        # a bare IndexError from indexing the metric with an empty float array
+        empty = mixture_cylinders([], 2)
+        calls = counting_linprog(monkeypatch)
+        assert weakstar_proxy(empty, empty, 2, circle_doubling(4)) == 0.0
+        assert calls == []
+
+    def test_weakstar_one_empty_side_is_infeasible(self, monkeypatch):
+        empty = mixture_cylinders([], 2)
+        full = empirical_measure(PeriodicOrbitMeasure((0, 1)), 2)
+        calls = counting_linprog(monkeypatch)
+        for pair in ((empty, full), (full, empty)):
+            with pytest.raises(Infeasible):  # decided without a solve
+                weakstar_proxy(*pair, 2, circle_doubling(4))
+        assert calls == []
+
 
 class TestRhoBarPeriodic:
     def test_two_symbol_example(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -179,8 +180,74 @@ class TestRunPipeline:
                 step = (len(measures) - 1) / (sample - 1)
                 measures = [measures[round(i * step)] for i in range(sample)]
             expected[entry["n"]] = [pm.word for pm in measures]
-        pairs = [(n, m) for n in range(1, 4) for m in range(n + 1, 4)]
-        assert seen == [(expected[n], expected[m]) for n, m in pairs]
+        # one call: the samples of levels 1 .. n-1 joined in order as rows, 2 .. n as columns
+        assert seen == [(expected[1] + expected[2], expected[2] + expected[3])]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"n_max": 1},
+            {"hausdorff_sample": 2},
+            {"period_cap": 3, "enumeration_cap": 30, "hausdorff_sample": 7},
+            # levels 8 and 9 have no cycles: 15 empty-set error rows
+            {"system": {"builtin": "circle-rotation", "n": 7, "k": 1}, "period_cap": 3,
+             "n_max": 9},
+            {"system": {"builtin": "random-metric", "n": 12, "seed": 3}, "n_max": 4,
+             "period_cap": 4},
+        ],
+    )
+    def test_each_row_equals_its_own_pair_call(self, monkeypatch, overrides):
+        samples = []
+        real = pipeline._sampled_orbits
+
+        def recording(words, cap):
+            samples.append(real(words, cap))
+            return samples[-1]
+
+        monkeypatch.setattr(pipeline, "_sampled_orbits", recording)
+        cfg = small_config(**overrides)
+        report = run_pipeline(cfg)
+        sys = resolve_system(cfg.system)
+        rows, errors = iter(report.cross_level), []
+        for n, m in itertools.combinations(range(1, cfg.n_max + 1), 2):
+            if not samples[n - 1] or not samples[m - 1]:
+                errors.append(
+                    {"stage": "cross_level", "pair": [n, m], "reason": "empty ergodic set"}
+                )
+                continue
+            best, _, aligned = measures.pi_bar_matrices(
+                samples[n - 1], samples[m - 1], sys, cfg.pi_radius
+            )
+            row = next(rows)
+            assert (row["coarse"], row["fine"]) == (n, m)
+            assert row["pi_bar_hausdorff"] == measures._hausdorff(best)
+            assert row["aligned_bound"] == measures._hausdorff(aligned)
+        assert next(rows, None) is None
+        assert report.errors == errors
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5])
+    def test_one_kernel_call_per_run(self, monkeypatch, n_max):
+        calls = []
+        real = pipeline.pi_bar_matrices
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "pi_bar_matrices", counting)
+        report = run_pipeline(small_config(n_max=n_max))
+        assert len(report.cross_level) == n_max * (n_max - 1) // 2
+        assert len(calls) == 1
+
+    def test_sampled_flag_at_the_sample_size(self):
+        # ergodic counts [120, 120, 67, 29]: level 3 holds exactly 67 cycles
+        for cap, last in ((67, False), (66, True)):
+            report = run_pipeline(small_config(n_max=4, hausdorff_sample=cap))
+            assert [e["ergodic_count"] for e in report.levels] == [120, 120, 67, 29]
+            flags = {(row["coarse"], row["fine"]): row["sampled"] for row in report.cross_level}
+            assert flags.pop((3, 4)) is last
+            assert all(flags.values())
 
     def test_provenance_hash_stable(self):
         a = run_pipeline(small_config()).provenance["config_hash"]
@@ -406,6 +473,14 @@ class TestConfigEntries:
             ("target", [{"word": [0], "weight": "x"}], "/target/0/weight"),  # bare ValueError
             ("target", [{"word": [0], "weight": 0.5}, {"word": [5, 1.0], "weight": 0.5}],
              "/target/1/word"),
+            # these four ran every level, then only recorded the failure in report.errors
+            ("target", [{"word": [0], "weight": 0.3}, {"word": [5, 10], "weight": 0.3}],
+             "/target"),
+            ("target", [{"word": [0], "weight": -0.5}, {"word": [5, 10], "weight": 1.5}],
+             "/target/0/weight"),
+            ("target", [{"word": [5, 10], "weight": 1.0}, {"word": [0], "weight": 0}],
+             "/target/1/weight"),
+            ("target", [{"word": [], "weight": 1.0}], "/target/0/word"),  # pointer was /word
         ],
     )
     def test_rejected_at_pointer(self, field, value, pointer, tmp_path, capsys):
@@ -418,6 +493,21 @@ class TestConfigEntries:
         assert main(["analyze", "--config", str(path)]) == 2
         assert pointer in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_target_is_no_target(self, tmp_path):
+        # target [] hashed as no target but added a "must be non-empty" error to the report
+        no_target = {k: v for k, v in ACCEPTANCE_9_CONFIG.items() if k != "target"}
+        outputs = []
+        for data in (no_target, dict(no_target, target=[])):
+            path, out = tmp_path / "cfg.json", tmp_path / f"out{len(outputs)}"
+            path.write_text(json.dumps(data))
+            assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+            lines = (out / "report.json").read_bytes().splitlines(keepends=True)
+            report = b"".join(line for line in lines if b'"generated_at"' not in line)
+            names = ("distances.csv", "density.csv", "plot_data.json")
+            outputs.append([report] + [(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+        assert b'"errors": []' in outputs[1][0]
 
     def test_valid_entries_run(self):
         target = [{"word": [0], "weight": 1}]
