@@ -5,7 +5,10 @@ orbits (the exact arithmetic of the theory) and 1-step Markov measures
 (enough to represent mixtures and generic measures on the SFT-like chain
 graphs).  Transport values are HiGHS floating-point LP optima, feasible to
 1e-7, not exact; the d-bar-type value between non-periodic measures is
-only ever exposed as an (upper, lower) bound pair.
+only ever exposed as an (upper, lower) bound pair.  Every LP is one call
+of :func:`_solve`, which hands the model to scipy's bundled HiGHS bindings
+directly (the solver ``linprog(method="highs")`` runs, without its
+wrapper).
 
 The library's tolerances, and what each guards:
 
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _highs
 from scipy.sparse import coo_matrix
 
 from .chain import _glue
@@ -163,19 +166,44 @@ class CouplingResult:
 def _solve(c, a_eq, b_eq, what):
     """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0.
 
-    HiGHS runs without presolve, on every LP.  These transport and coupling
-    LPs are small, and each transport block is already cut to its mass
-    support (see :func:`_transport_lps`), so presolve costs more than it
-    removes; the model and its optimum stay the same.
+    The one HiGHS call site: the LP goes straight to scipy's bundled HiGHS
+    bindings (``scipy.optimize._highspy._core``) as a column-wise
+    ``HighsLp`` built from ``a_eq.tocsc()``.  The options are those that
+    ``linprog(method="highs", options={"presolve": False})`` sets away from
+    HiGHS's defaults, so ``x`` and the objective are the same bits: presolve
+    off, the dual simplex strategy, and no log output.  Every other option,
+    the 1e-7 feasibility tolerances included, is HiGHS's default.  Presolve
+    stays off because these transport and coupling LPs are small, and each
+    transport block is already cut to its mass support (see
+    :func:`_transport_lps`), so presolve costs more than it removes.
+    Returns ``(x, objective)``.  An iteration limit raises
+    :class:`SolverIterationCap`; rejected options or model, or any other
+    status than optimal, raise :class:`Infeasible` with HiGHS's status.
     """
-    res = linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options={"presolve": False}
-    )
-    if res.status == 1:
+    a = a_eq.tocsc()
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(len(c)), np.full(len(c), _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    options = _highs.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    highs = _highs._Highs()
+    if highs.passOptions(options) == _highs.HighsStatus.kError:
+        raise Infeasible(f"{what} LP: HiGHS rejected its options")
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise Infeasible(f"{what} LP: HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kIterationLimit:
         raise SolverIterationCap(f"{what} LP hit its iteration limit")
-    if not res.success:
-        raise Infeasible(f"{what} LP failed: {res.message}")
-    return res
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise Infeasible(f"{what} LP failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value), highs.getInfo().objective_function_value
 
 
 def _transport_pattern(n1, n2):
@@ -221,7 +249,7 @@ def _transport_lps(problems):
     if n_cols:
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
-        x = _solve(np.concatenate(c), a_eq, np.concatenate(b_eq), "transport").x
+        x, _ = _solve(np.concatenate(c), a_eq, np.concatenate(b_eq), "transport")
     out = []
     for (a, b, cost), (i, j, lo) in zip(problems, supports):
         plan = np.zeros(cost.shape)
@@ -389,10 +417,9 @@ def rho_bar_markov_upper(mu, nu, cost):
     a_eq = coo_matrix((data[order], (rows[order], cols[order])), shape=shape)
     b_eq = np.concatenate([np.zeros(len(keys)), mu.stationary, nu.stationary[:-1]])
     c = np.concatenate([cost.ravel(), np.zeros(len(flow))])
-    res = _solve(c, a_eq, b_eq, "coupling")
-    lam = res.x[:npairs].reshape(n1, n2)
+    x, value = _solve(c, a_eq, b_eq, "coupling")
     lower = w1_distance(mu.stationary, nu.stationary, cost).value
-    return CouplingResult(float(res.fun), lam, "optimal", lower_bound=lower)
+    return CouplingResult(float(value), x[:npairs].reshape(n1, n2), "optimal", lower_bound=lower)
 
 
 def _hausdorff(matrix):

@@ -210,25 +210,27 @@ class TestW1Distance:
                     rows.append(n1 + j)
                     cols.append(i * n2 + j)
             a_eq = coo_matrix(([1.0] * len(rows), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
-            calls = counting_linprog(monkeypatch)
+            calls = counting_solve(monkeypatch)
             res = w1_distance(a, b, cost)
+            assert len(calls) == 1
             ref = linprog(
                 cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b[:-1]]),
-                bounds=(0, None), method="highs", options=calls[0][1]["options"],
+                bounds=(0, None), method="highs", options={"presolve": False},
             )
             assert res.value == float(ref.fun)
             assert np.array_equal(res.plan, ref.x.reshape(n1, n2))
 
 
-def counting_linprog(monkeypatch):
-    """Route ``measures.linprog`` through a recorder; returns the call list."""
+def counting_solve(monkeypatch):
+    """Route ``measures._solve`` through a recorder; returns its ``(c, a_eq, b_eq)`` calls."""
     calls = []
+    real = measures._solve
 
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return linprog(*args, **kwargs)
+    def recording(c, a_eq, b_eq, what):
+        calls.append((c, a_eq, b_eq))
+        return real(c, a_eq, b_eq, what)
 
-    monkeypatch.setattr(measures, "linprog", recording)
+    monkeypatch.setattr(measures, "_solve", recording)
     return calls
 
 
@@ -253,7 +255,7 @@ class TestTransportLPs:
         # zero mass on some support points of both sides
         a, b = np.array([0.5, 0.0, 0.25, 0.0, 0.25]), np.array([0.0, 0.6, 0.0, 0.4])
         problems.insert(2, (a, b, rng.random((5, 4))))
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         results = measures._transport_lps(problems)
         assert len(calls) == 1 and len(results) == len(problems)
         for (a, b, cost), res in zip(problems, results):
@@ -280,7 +282,7 @@ class TestTransportLPs:
                 measures._transport_lps([good, bad, good])
 
     def test_empty_stack_makes_no_call(self, monkeypatch):
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         assert measures._transport_lps([]) == []
         assert weakstar_proxies([], 3, circle_doubling(4)) == []
         assert calls == []
@@ -296,7 +298,7 @@ class TestTransportLPs:
             for _ in range(6)
         ]
         pairs = [(cyls[i], cyls[j]) for i, j in ((0, 1), (2, 3), (4, 4), (5, 0), (1, 2))]
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         together = weakstar_proxies(pairs, 3, sys)
         assert len(calls) == 1
         single = [weakstar_proxy(x, y, 3, sys) for x, y in pairs]
@@ -362,17 +364,16 @@ class TestMassSupport:
 
     def test_stacked_lp_has_only_support_columns(self, monkeypatch):
         problems = self.problems()
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         measures._transport_lps(problems)
-        (c,), kwargs = calls[0]
+        ((c, a_eq, _),) = calls
         sizes = [(np.count_nonzero(a), np.count_nonzero(b)) for a, b, _ in problems]
-        assert len(c) == kwargs["A_eq"].shape[1] == sum(m1 * m2 for m1, m2 in sizes)
-        assert kwargs["A_eq"].shape[0] == sum(m1 + m2 - 1 for m1, m2 in sizes if m1 * m2)
-        assert kwargs["method"] == "highs" and kwargs["options"] == {"presolve": False}
+        assert len(c) == a_eq.shape[1] == sum(m1 * m2 for m1, m2 in sizes)
+        assert a_eq.shape[0] == sum(m1 + m2 - 1 for m1, m2 in sizes if m1 * m2)
 
     def test_block_without_mass_makes_no_call(self, monkeypatch):
         cost = np.random.default_rng(22).random((3, 4))
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         (res,) = measures._transport_lps([(np.zeros(3), np.zeros(4), cost)])
         assert calls == []
         assert res.value == 0.0 and np.array_equal(res.plan, np.zeros((3, 4)))
@@ -423,14 +424,14 @@ class TestMassSupport:
     def test_weakstar_both_empty_is_zero(self, monkeypatch):
         # a bare IndexError from indexing the metric with an empty float array
         empty = mixture_cylinders([], 2)
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         assert weakstar_proxy(empty, empty, 2, circle_doubling(4)) == 0.0
         assert calls == []
 
     def test_weakstar_one_empty_side_is_infeasible(self, monkeypatch):
         empty = mixture_cylinders([], 2)
         full = empirical_measure(PeriodicOrbitMeasure((0, 1)), 2)
-        calls = counting_linprog(monkeypatch)
+        calls = counting_solve(monkeypatch)
         for pair in ((empty, full), (full, empty)):
             with pytest.raises(Infeasible):  # decided without a solve
                 weakstar_proxy(*pair, 2, circle_doubling(4))
@@ -728,21 +729,67 @@ class TestMarkovAssembly:
         for n1, n2 in sizes:
             mu, nu = random_markov(rng, n1), random_markov(rng, n2)
             cost = rng.random((n1, n2))
-            calls = counting_linprog(monkeypatch)
+            calls = counting_solve(monkeypatch)
             res = rho_bar_markov_upper(mu, nu, cost)
-            (c,), kwargs = calls[0]
+            c, got, b_eq = calls[0]
             ref_c, ref_a, ref_b = loop_markov_lp(mu, nu, cost)
-            got = kwargs["A_eq"]
             assert got.shape == ref_a.shape
             for attr in ("row", "col", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(ref_a, attr))
-            assert np.array_equal(kwargs["b_eq"], ref_b) and np.array_equal(c, ref_c)
+            assert np.array_equal(b_eq, ref_b) and np.array_equal(c, ref_c)
             ref = linprog(
                 ref_c, A_eq=ref_a, b_eq=ref_b, bounds=(0, None), method="highs",
-                options=kwargs["options"],
+                options={"presolve": False},
             )
             assert res.value == float(ref.fun)
             assert np.array_equal(res.plan, ref.x[: n1 * n2].reshape(n1, n2))
+
+
+class TestSolve:
+    """``measures._solve`` calls HiGHS directly, with the options of linprog's presolve-off call."""
+
+    def library_lps(self, monkeypatch):
+        """The (c, a_eq, b_eq) of transport, stacked weak* and Markov coupling solves."""
+        calls = counting_solve(monkeypatch)
+        rng = np.random.default_rng(41)
+        for n1, n2 in ((1, 1), (1, 7), (9, 1), (2, 2), (13, 5), (40, 40), (60, 100), (100, 100)):
+            w1_distance(rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2)), rng.random((n1, n2)))
+        sys = random_metric(7, seed=42)
+        words = [(0, 1, 2), (3, 4), (5,), (6, 2, 4, 1), (0, 3, 5, 6, 1)]
+        cyls = [empirical_measure(PeriodicOrbitMeasure(w), 3) for w in words]
+        weakstar_proxies([(cyls[i], cyls[i + 1]) for i in range(len(cyls) - 1)], 3, sys)
+        for n1, n2 in ((2, 2), (2, 5), (3, 3), (4, 7), (6, 2), (8, 8)):
+            mu, nu = random_markov(rng, n1), random_markov(rng, n2)
+            rho_bar_markov_upper(mu, nu, rng.random((n1, n2)))
+        return calls
+
+    def test_bit_identical_to_linprog(self, monkeypatch):
+        solve = measures._solve
+        lps = self.library_lps(monkeypatch)
+        assert len(lps) >= 20
+        for c, a_eq, b_eq in lps:
+            x, value = solve(c, a_eq, b_eq, "test")
+            ref = linprog(
+                c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                options={"presolve": False},
+            )
+            assert ref.success
+            assert np.array_equal(x, ref.x) and value == ref.fun
+
+    def test_unequal_mass_names_the_highs_status(self):
+        # every row and every column sum: mass 1 against mass 0.9 has no feasible plan
+        n1, n2 = 2, 3
+        a_eq = coo_matrix(np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))]))
+        b_eq = np.array([0.5, 0.5, 0.2, 0.3, 0.4])
+        with pytest.raises(Infeasible, match="LP failed: Infeasible$"):
+            measures._solve(np.ones(n1 * n2), a_eq, b_eq, "transport")
+        with pytest.raises(Infeasible, match="rejected the model"):  # fewer right-hand sides than rows
+            measures._solve(np.ones(n1 * n2), a_eq, b_eq[:3], "transport")
+
+    def test_prints_nothing(self, capfd):
+        rng = np.random.default_rng(43)
+        w1_distance(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(4)), rng.random((5, 4)))
+        assert capfd.readouterr() == ("", "")
 
 
 class TestHausdorff:

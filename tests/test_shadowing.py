@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,63 @@ class TestValidatePseudoOrbit:
         orbit = FiniteTrajectory(sys.orbit(3, 10), origin=0)
         with pytest.raises(BadHorizon):
             validate_pseudo_orbit(orbit, sys, "bogus")
+
+
+def loop_delta_average(seq, sys, delta, N):
+    """Reference: every window length n >= N at every offset; (passed, witness)."""
+    ids = np.asarray(seq.entries)
+    errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
+    prefix = np.concatenate([[0.0], np.cumsum(errors)])
+    for n in range(N, len(ids)):
+        bad = np.nonzero((prefix[n:] - prefix[:-n]) / n >= delta - TOL)[0]
+        if bad.size:
+            return False, (int(bad[0]), n)
+    return True, None
+
+
+class TestDeltaAverageBounded:
+    """The O(steps) existence check decides as the window loop does."""
+
+    def max_window_average(self, seq, sys, N):
+        ids = np.asarray(seq.entries)
+        errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
+        prefix = np.concatenate([[0.0], np.cumsum(errors)])
+        return max(((prefix[n:] - prefix[:-n]) / n).max() for n in range(N, len(ids)))
+
+    def test_random_and_near_tight_match_the_loop(self):
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for trial in range(60):
+            sys = random_metric(9, seed=trial) if trial % 2 else circle_doubling(16)
+            ids = sys.orbit(int(rng.integers(0, sys.n)), int(rng.integers(4, 120)))
+            for k in rng.integers(0, len(ids), int(rng.integers(0, 4))):
+                ids[k] = int(rng.integers(0, sys.n))
+            seq = FiniteTrajectory(ids, origin=0)
+            N = int(rng.integers(1, len(ids)))
+            top = self.max_window_average(seq, sys, N)
+            deltas = [rng.random(), top, top + TOL, np.nextafter(top + TOL, 2.0), top + 2 * TOL]
+            for delta in deltas:
+                report = validate_pseudo_orbit(seq, sys, "delta_average", delta=delta, N=N)
+                passed, witness = loop_delta_average(seq, sys, delta, N)
+                assert (report.passed, report.witness) == (passed, witness)
+                outcomes.add(passed)
+        assert outcomes == {True, False}
+
+    def test_long_sequence_is_decided_in_linear_time(self):
+        # the window loop scans all 10^5 lengths here: about 15 s
+        sys = circle_doubling(15)
+        ids = sys.orbit(7, 100_001)
+        for k in range(500, len(ids), 997):
+            ids[k] = (ids[k] + 7) % 15
+        seq = FiniteTrajectory(ids, origin=0)
+        start = time.perf_counter()
+        report = validate_pseudo_orbit(seq, sys, "delta_average", delta=0.2, N=20)
+        assert time.perf_counter() - start < 2.0
+        assert report.passed and report.horizon == 100_000
+        # a violation is still found by the loop, with its witness
+        report = validate_pseudo_orbit(seq, sys, "delta_average", delta=0.02, N=20)
+        assert (report.passed, report.witness) == loop_delta_average(seq, sys, 0.02, 20)
+        assert not report.passed
 
 
 class TestBesicovitchRho:
