@@ -19,6 +19,8 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from .core import TOL, FiniteMetricSystem, _immutable
 from .errors import NoChain
 
+_TABLE_BYTES = 1 << 18  # bound on one finite_chain reachability block (256 KB)
+
 
 @dataclass(frozen=True)
 class ChainGraph:
@@ -146,27 +148,38 @@ def finite_chain(g, x, y, length):
 
     BFS over the layered graph (coordinate = remaining length), realized as a
     backward-reachability table; ties are broken by lowest id so downstream
-    gluing constructions are reproducible bit for bit.  The table holds
-    (length + 1) * n bytes: at a Wielandt graph's mixing constant, n = 257
-    and length 65537, that is 16.8 MB.  Each row is one float32 product,
-    exact because every entry counts at most n < 2^24 successors.
+    gluing constructions are reproducible bit for bit.  Each row is one
+    float32 product, exact because every entry counts at most n < 2^24
+    successors.  The table stops at its first all-true row t >= 1: every
+    vertex then has a successor, so every later row is all-true too and
+    reads as row t.  It holds (min(length, t) + 1) * n bytes, in blocks of
+    at most ``_TABLE_BYTES``: at most 16.8 MB on the n = 257 Wielandt graph,
+    whose worst column first fills at its mixing constant, 65537.
     """
     if length < 1:
         raise NoChain(x, y, length)
     adj = g.adjacency
     a = adj.astype(np.float32)
-    reach = np.zeros((length + 1, g.n), dtype=bool)
-    reach[0, y] = True
-    for t in range(1, length + 1):
-        np.greater(a @ reach[t - 1], 0, out=reach[t])
-    if not reach[length, x]:
+    step = min(length + 1, max(1, _TABLE_BYTES // g.n))  # rows per block
+    blocks = [np.zeros((step, g.n), dtype=bool)]
+    blocks[0][0, y] = True
+    top = 0  # rows 0 .. top are stored
+    while top < length:
+        prev, top = blocks[-1][top % step], top + 1
+        if top % step == 0:
+            blocks.append(np.empty((step, g.n), dtype=bool))
+        if np.count_nonzero(np.greater(a @ prev, 0, out=blocks[-1][top % step])) == g.n:
+            break
+
+    def reach(t):
+        t = min(t, top)
+        return blocks[t // step][t % step]
+
+    if not reach(length)[x]:
         raise NoChain(x, y, length)
     walk = [int(x)]
-    current = int(x)
-    for t in range(length, 0, -1):
-        candidates = np.nonzero(adj[current] & reach[t - 1])[0]
-        current = int(candidates[0])
-        walk.append(current)
+    for t in range(length, 0, -1):  # the lowest-id successor that still reaches y
+        walk.append(int((adj[walk[-1]] & reach(t - 1)).argmax()))
     return walk
 
 

@@ -7,8 +7,8 @@ graphs).  Transport values are HiGHS floating-point LP optima, feasible to
 1e-7, not exact; the d-bar-type value between non-periodic measures is
 only ever exposed as an (upper, lower) bound pair.  Every LP is one call
 of :func:`_solve`, which hands the model to scipy's bundled HiGHS bindings
-directly (the solver ``linprog(method="highs")`` runs, without its
-wrapper).
+(the solver ``linprog(method="highs")`` runs, without its wrapper) as
+column-wise arrays written directly, with no scipy.sparse matrix.
 
 The library's tolerances, and what each guards:
 
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize._highspy._core as _highs
-from scipy.sparse import coo_matrix
 
 from .chain import _glue
 from .core import TOL, _truncated_max
@@ -164,30 +163,24 @@ class CouplingResult:
 
 
 def _solve(c, a_eq, b_eq, what):
-    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0.
+    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0: ``(x, objective)``.
 
-    The one HiGHS call site: the LP goes straight to scipy's bundled HiGHS
-    bindings (``scipy.optimize._highspy._core``) as a column-wise
-    ``HighsLp`` built from ``a_eq.tocsc()``.  The options are those that
-    ``linprog(method="highs", options={"presolve": False})`` sets away from
-    HiGHS's defaults, so ``x`` and the objective are the same bits: presolve
-    off, the dual simplex strategy, and no log output.  Every other option,
-    the 1e-7 feasibility tolerances included, is HiGHS's default.  Presolve
-    stays off because these transport and coupling LPs are small, and each
-    transport block is already cut to its mass support (see
-    :func:`_transport_lps`), so presolve costs more than it removes.
-    Returns ``(x, objective)``.  An iteration limit raises
-    :class:`SolverIterationCap`; rejected options or model, or any other
-    status than optimal, raise :class:`Infeasible` with HiGHS's status.
+    ``a_eq`` is ``(n_rows, start, index, value)``, the CSC arrays of a matrix
+    with ``len(c)`` columns, checked for the lengths HiGHS reads unchecked
+    and passed to the array overload of ``passModel``.  The options are
+    those that ``linprog(method="highs", options={"presolve": False})`` sets
+    away from HiGHS's defaults, so ``x`` and the objective are the same
+    bits: presolve off (these LPs are small, and each transport block is cut
+    to its mass support by :func:`_transport_lps`), the dual simplex
+    strategy, no log output.  Every other option, the 1e-7 feasibility
+    tolerances included, is HiGHS's default.  An iteration limit raises
+    :class:`SolverIterationCap`; a length mismatch, a rejected model or any
+    other status than optimal raises :class:`Infeasible` naming it.
     """
-    a = a_eq.tocsc()
-    lp = _highs.HighsLp()
-    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.zeros(len(c)), np.full(len(c), _highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
+    n_rows, start, index, value = a_eq
+    n_cols = len(c)
+    if len(b_eq) != n_rows or len(start) != n_cols + 1 or not start[-1] == len(index) == len(value):
+        raise Infeasible(f"{what} LP: HiGHS rejected the model")
     options = _highs.HighsOptions()
     options.presolve = "off"
     options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -195,7 +188,10 @@ def _solve(c, a_eq, b_eq, what):
     highs = _highs._Highs()
     if highs.passOptions(options) == _highs.HighsStatus.kError:
         raise Infeasible(f"{what} LP: HiGHS rejected its options")
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    # sizes, column-wise (1), minimize (1), offset 0; costs, bounds, CSC arrays, no integers
+    bounds = (np.zeros(n_cols), np.full(n_cols, _highs.kHighsInf), b_eq, b_eq)
+    model = (n_cols, n_rows, len(index), 1, 1, 0.0, c, *bounds, start, index, value)
+    if highs.passModel(*model, np.zeros(n_cols, dtype=np.int32)) == _highs.HighsStatus.kError:
         raise Infeasible(f"{what} LP: HiGHS rejected the model")
     highs.run()
     status = highs.getModelStatus()
@@ -206,11 +202,16 @@ def _solve(c, a_eq, b_eq, what):
     return np.array(highs.getSolution().col_value), highs.getInfo().objective_function_value
 
 
-def _transport_pattern(n1, n2):
-    """COO rows and columns of an n1 x n2 plan's row sums, then column sums but the last."""
-    by_column = np.arange(n2 - 1)[:, None] + n2 * np.arange(n1)
-    rows = np.concatenate([np.repeat(np.arange(n1), n2), np.repeat(n1 + np.arange(n2 - 1), n1)])
-    return rows, np.concatenate([np.arange(n1 * n2), by_column.ravel()])
+def _transport_csc(n1, n2):
+    """CSC ``(start, index)`` of an n1 x n2 plan's row sums, then column sums but the last.
+
+    Column k = i * n2 + j holds row i and, if j < n2 - 1, row n1 + j: it starts at 2k - i.
+    """
+    k = np.arange(n1 * n2 + 1, dtype=np.int32)
+    index = np.empty((n1, 2 * n2 - 1), dtype=np.int32)
+    index[:, 0::2] = np.arange(n1)[:, None]
+    index[:, 1::2] = n1 + np.arange(n2 - 1)
+    return 2 * k - k // n2, index.ravel()
 
 
 def _transport_lps(problems):
@@ -230,7 +231,7 @@ def _transport_lps(problems):
     """
     if not problems:
         return []
-    rows, cols, c, b_eq, supports, n_rows, n_cols = [], [], [], [], [], 0, 0
+    counts, index, c, b_eq, supports, n_rows, n_cols = [], [], [], [], [], 0, 0
     for a, b, cost in problems:
         n1, n2 = cost.shape
         if a.shape != (n1,) or b.shape != (n2,):
@@ -238,17 +239,17 @@ def _transport_lps(problems):
         i, j = np.flatnonzero(a), np.flatnonzero(b)
         supports.append((i, j, n_cols))
         if len(i) and len(j):
-            row, col = _transport_pattern(len(i), len(j))
-            rows.append(n_rows + row)
-            cols.append(n_cols + col)
+            start, rows = _transport_csc(len(i), len(j))
+            counts.append(np.diff(start))
+            index.append(rows + n_rows)
             c.append(cost[np.ix_(i, j)].ravel())
             b_eq += [a[i], b[j[:-1]]]
             n_rows += len(i) + len(j) - 1
             n_cols += len(i) * len(j)
     x = np.zeros(0)
     if n_cols:
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_rows, n_cols))
+        index, start = np.concatenate(index), np.append(0, np.cumsum(np.concatenate(counts)))
+        a_eq = (n_rows, start.astype(np.int32), index, np.ones(len(index)))
         x, _ = _solve(np.concatenate(c), a_eq, np.concatenate(b_eq), "transport")
     out = []
     for (a, b, cost), (i, j, lo) in zip(problems, supports):
@@ -401,23 +402,23 @@ def rho_bar_markov_upper(mu, nu, cost):
     # per pair uv, one per successor u' of u, then one per successor v' of v,
     #   sum_{v'} f(uv, u'v') = lam(uv) P_mu(u, u'),  sum_{u'} f(uv, u'v') = lam(uv) P_nu(v, v');
     # then one per pair u'v' with inflow, sum_{uv} f(uv, u'v') = lam(u'v'); then
-    # the pair marginals of lam.  A row holds its flows in flow order, then lam,
-    # whose coefficient is read at the row's first flow.
+    # the pair marginals of lam.  The lam coefficient is read at the row's first flow.
     width = 2 * max(n1, n2)
     keys = np.concatenate([width * src + up, width * src + width // 2 + vp, width * npairs + dst])
     keys, first, row = np.unique(keys, return_index=True, return_inverse=True)
     kind, f = np.divmod(first, len(flow))
     coef = np.stack([mu.kernel[u, up], nu.kernel[v, vp], np.ones(len(flow))])[kind, f]
-    row_m, col_m = _transport_pattern(n1, n2)
+    start_m, row_m = _transport_csc(n1, n2)
+    col_m = np.repeat(np.arange(npairs), np.diff(start_m))
     rows = np.concatenate([row, np.arange(len(keys)), len(keys) + row_m])
     cols = np.concatenate([np.tile(flow, 3), np.where(kind == 2, dst[f], src[f]), col_m])
     data = np.concatenate([np.ones(3 * len(flow)), -coef, np.ones(len(row_m))])
-    order = np.argsort(rows, kind="stable")
-    shape = (len(keys) + n1 + n2 - 1, npairs + len(flow))
-    a_eq = coo_matrix((data[order], (rows[order], cols[order])), shape=shape)
+    order = np.lexsort((rows, cols))  # CSC order: by column, then row (no entry repeats)
+    start = np.append(0, np.cumsum(np.bincount(cols, minlength=npairs + len(flow))))
+    csc = (start.astype(np.int32), rows[order].astype(np.int32), data[order])
     b_eq = np.concatenate([np.zeros(len(keys)), mu.stationary, nu.stationary[:-1]])
     c = np.concatenate([cost.ravel(), np.zeros(len(flow))])
-    x, value = _solve(c, a_eq, b_eq, "coupling")
+    x, value = _solve(c, (len(keys) + n1 + n2 - 1, *csc), b_eq, "coupling")
     lower = w1_distance(mu.stationary, nu.stationary, cost).value
     return CouplingResult(float(value), x[:npairs].reshape(n1, n2), "optimal", lower_bound=lower)
 
@@ -540,15 +541,12 @@ def empirical_measure(pm, cylinder_depth):
     """Cyclic block distributions of a periodic word, per length up to depth."""
     if cylinder_depth < 1:
         raise SchemaError("/depth", "cylinder depth must be >= 1")
-    word = pm.word
-    p = len(word)
-    out = {}
-    for w in range(1, cylinder_depth + 1):
-        dist = {}
+    p = pm.period
+    ext = pm.word * (cylinder_depth // p + 2)  # each cyclic block is a slice
+    out = {w: {} for w in range(1, cylinder_depth + 1)}
+    for w, dist in out.items():
         for i in range(p):
-            block = tuple(word[(i + t) % p] for t in range(w))
-            dist[block] = dist.get(block, 0.0) + 1.0 / p
-        out[w] = dist
+            dist[ext[i : i + w]] = dist.get(ext[i : i + w], 0.0) + 1.0 / p
     return out
 
 

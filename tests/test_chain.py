@@ -479,6 +479,20 @@ class TestIsDeltaChain:
         assert is_delta_chain(FiniteTrajectory([0, 3, 0]), g) is False
 
 
+def full_table_walk(g, x, y, length):
+    """The walk read from the full (length + 1) x n reachability table, as an oracle."""
+    a = g.adjacency.astype(np.float32)
+    reach = np.zeros((length + 1, g.n), dtype=bool)
+    reach[0, y] = True
+    for t in range(1, length + 1):
+        np.greater(a @ reach[t - 1], 0, out=reach[t])
+    assert reach[length, x]
+    walk = [x]
+    for t in range(length, 0, -1):
+        walk.append(int(np.nonzero(g.adjacency[walk[-1]] & reach[t - 1])[0][0]))
+    return walk
+
+
 class TestFiniteChainAtTheMixingConstant:
     def test_wielandt_257_at_length_m(self):
         g = wielandt_graph(257)
@@ -492,5 +506,25 @@ class TestFiniteChainAtTheMixingConstant:
         tracemalloc.stop()
         assert len(walk) == m + 1 and walk[0] == walk[-1] == 0
         assert g.adjacency[walk[:-1], walk[1:]].all()
-        table = (m + 1) * g.n  # bytes, as the docstring states
+        # column 0 first fills at row m: the worst case, the table the docstring states
+        table = (m + 1) * g.n  # bytes
         assert table < peak < table + 4 * 2**20
+        assert walk == full_table_walk(g, 0, 0, m)
+
+    def test_wielandt_257_table_stops_at_its_first_all_true_row(self):
+        g = wielandt_graph(257)
+        m = g.certificate.mixing_constant
+        tracemalloc.start()
+        walk = finite_chain(g, 0, 0, 2 * m)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # rows past m read row m: the table stays at (m + 1) * n, not the 33.7 MB full table
+        assert peak < (m + 1) * g.n + 2 * 2**20
+        assert walk == full_table_walk(g, 0, 0, 2 * m)
+
+    def test_walks_past_the_all_true_row_match_the_full_table(self):
+        g = build_chain_graph(circle_doubling(15), 0.2)
+        m = g.certificate.mixing_constant
+        for length in (m, m + 1, 2 * m, 3 * m + 2):
+            for x, y in ((0, 7), (3, 3), (14, 1), (5, 0)):
+                assert finite_chain(g, x, y, length) == full_table_walk(g, x, y, length)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import block_diag, coo_matrix, csc_matrix
 
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
@@ -213,6 +213,10 @@ class TestW1Distance:
             calls = counting_solve(monkeypatch)
             res = w1_distance(a, b, cost)
             assert len(calls) == 1
+            ((c, got, b_eq),) = calls
+            assert_same_csc(recorded_matrix(c, got), a_eq.tocsc())
+            assert np.array_equal(c, cost.ravel())
+            assert np.array_equal(b_eq, np.concatenate([a, b[:-1]]))
             ref = linprog(
                 cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b[:-1]]),
                 bounds=(0, None), method="highs", options={"presolve": False},
@@ -222,7 +226,11 @@ class TestW1Distance:
 
 
 def counting_solve(monkeypatch):
-    """Route ``measures._solve`` through a recorder; returns its ``(c, a_eq, b_eq)`` calls."""
+    """Route ``measures._solve`` through a recorder; returns its ``(c, a_eq, b_eq)`` calls.
+
+    ``a_eq`` is recorded as passed: ``(n_rows, start, index, value)``; see
+    :func:`recorded_matrix`.
+    """
     calls = []
     real = measures._solve
 
@@ -232,6 +240,20 @@ def counting_solve(monkeypatch):
 
     monkeypatch.setattr(measures, "_solve", recording)
     return calls
+
+
+def recorded_matrix(c, a_eq):
+    """A recorded ``(n_rows, start, index, value)`` as a scipy CSC matrix, arrays as given."""
+    n_rows, start, index, value = a_eq
+    assert start.dtype == index.dtype == np.int32
+    return csc_matrix((value, index, start), shape=(n_rows, len(c)))
+
+
+def assert_same_csc(got, ref):
+    """Same shape and the same CSC arrays, entry for entry, as ``ref`` (a ``tocsc()`` result)."""
+    assert got.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
 
 def dense_transport_value(a, b, cost):
@@ -368,8 +390,9 @@ class TestMassSupport:
         measures._transport_lps(problems)
         ((c, a_eq, _),) = calls
         sizes = [(np.count_nonzero(a), np.count_nonzero(b)) for a, b, _ in problems]
-        assert len(c) == a_eq.shape[1] == sum(m1 * m2 for m1, m2 in sizes)
-        assert a_eq.shape[0] == sum(m1 + m2 - 1 for m1, m2 in sizes if m1 * m2)
+        n_rows, n_cols = recorded_matrix(c, a_eq).shape
+        assert len(c) == n_cols == sum(m1 * m2 for m1, m2 in sizes)
+        assert n_rows == sum(m1 + m2 - 1 for m1, m2 in sizes if m1 * m2)
 
     def test_block_without_mass_makes_no_call(self, monkeypatch):
         cost = np.random.default_rng(22).random((3, 4))
@@ -436,6 +459,46 @@ class TestMassSupport:
             with pytest.raises(Infeasible):  # decided without a solve
                 weakstar_proxy(*pair, 2, circle_doubling(4))
         assert calls == []
+
+
+def loop_transport_pattern(n1, n2):
+    """The transport constraint pattern entry by entry: row sums, then column sums but the last."""
+    rows = [i for i in range(n1) for _ in range(n2)]
+    cols = [i * n2 + j for i in range(n1) for j in range(n2)]
+    rows += [n1 + j for j in range(n2 - 1) for _ in range(n1)]
+    cols += [i * n2 + j for j in range(n2 - 1) for i in range(n1)]
+    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n1 + n2 - 1, n1 * n2))
+
+
+class TestTransportCSC:
+    """``_transport_csc`` writes the arrays ``coo_matrix(...).tocsc()`` gives, by arithmetic."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 3)])
+    def test_matches_tocsc(self, n1, n2):
+        start, index = measures._transport_csc(n1, n2)
+        assert start.dtype == index.dtype == np.int32
+        got = csc_matrix((np.ones(len(index)), index, start), shape=(n1 + n2 - 1, n1 * n2))
+        assert_same_csc(got, loop_transport_pattern(n1, n2).tocsc())
+
+    def test_one_column_has_no_column_sum_rows(self):
+        start, index = measures._transport_csc(4, 1)
+        assert np.array_equal(start, np.arange(5)) and np.array_equal(index, np.arange(4))
+
+    def test_stacked_blocks_on_their_supports(self, monkeypatch):
+        # zero-mass rows and columns cut, the massless block skipped, a 1 x n block
+        problems = TestMassSupport().problems()
+        calls = counting_solve(monkeypatch)
+        measures._transport_lps(problems)
+        ((c, a_eq, b_eq),) = calls
+        supports = [(np.flatnonzero(a), np.flatnonzero(b)) for a, b, _ in problems]
+        kept = [(p, i, j) for p, (i, j) in zip(problems, supports) if len(i) and len(j)]
+        assert len(kept) == len(problems) - 1
+        ref = block_diag([loop_transport_pattern(len(i), len(j)) for _, i, j in kept])
+        assert_same_csc(recorded_matrix(c, a_eq), ref.tocsc())
+        ref_c = [cost[np.ix_(i, j)].ravel() for (_, _, cost), i, j in kept]
+        ref_b = [np.concatenate([a[i], b[j[:-1]]]) for (a, b, _), i, j in kept]
+        assert np.array_equal(c, np.concatenate(ref_c))
+        assert np.array_equal(b_eq, np.concatenate(ref_b))
 
 
 class TestRhoBarPeriodic:
@@ -733,9 +796,7 @@ class TestMarkovAssembly:
             res = rho_bar_markov_upper(mu, nu, cost)
             c, got, b_eq = calls[0]
             ref_c, ref_a, ref_b = loop_markov_lp(mu, nu, cost)
-            assert got.shape == ref_a.shape
-            for attr in ("row", "col", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(ref_a, attr))
+            assert_same_csc(recorded_matrix(c, got), ref_a.tocsc())
             assert np.array_equal(b_eq, ref_b) and np.array_equal(c, ref_c)
             ref = linprog(
                 ref_c, A_eq=ref_a, b_eq=ref_b, bounds=(0, None), method="highs",
@@ -769,8 +830,10 @@ class TestSolve:
         assert len(lps) >= 20
         for c, a_eq, b_eq in lps:
             x, value = solve(c, a_eq, b_eq, "test")
+            matrix = recorded_matrix(c, a_eq)
+            assert matrix.has_canonical_format  # sorted row indices, no duplicates
             ref = linprog(
-                c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                c, A_eq=matrix, b_eq=b_eq, bounds=(0, None), method="highs",
                 options={"presolve": False},
             )
             assert ref.success
@@ -779,12 +842,23 @@ class TestSolve:
     def test_unequal_mass_names_the_highs_status(self):
         # every row and every column sum: mass 1 against mass 0.9 has no feasible plan
         n1, n2 = 2, 3
-        a_eq = coo_matrix(np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))]))
-        b_eq = np.array([0.5, 0.5, 0.2, 0.3, 0.4])
+        dense = np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))])
+        a = csc_matrix(dense)
+        start, index = a.indptr.astype(np.int32), a.indices.astype(np.int32)
+        c, b_eq = np.ones(n1 * n2), np.array([0.5, 0.5, 0.2, 0.3, 0.4])
         with pytest.raises(Infeasible, match="LP failed: Infeasible$"):
-            measures._solve(np.ones(n1 * n2), a_eq, b_eq, "transport")
-        with pytest.raises(Infeasible, match="rejected the model"):  # fewer right-hand sides than rows
-            measures._solve(np.ones(n1 * n2), a_eq, b_eq[:3], "transport")
+            measures._solve(c, (5, start, index, a.data), b_eq, "transport")
+        # lengths HiGHS reads unchecked: fewer right-hand sides than rows, a short
+        # start, a short index or value
+        for a_eq, rhs in (
+            ((5, start, index, a.data), b_eq[:3]),
+            ((5, start[:-1], index, a.data), b_eq),
+            ((5, start, index[:-1], a.data), b_eq),
+            ((5, start, index, a.data[:-1]), b_eq),
+            ((5, start, index[:-1], a.data[:-1]), b_eq),
+        ):
+            with pytest.raises(Infeasible, match="^transport LP: HiGHS rejected the model$"):
+                measures._solve(c, a_eq, rhs, "transport")
 
     def test_prints_nothing(self, capfd):
         rng = np.random.default_rng(43)
