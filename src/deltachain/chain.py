@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .core import TOL, FiniteMetricSystem, _immutable
 from .errors import NoChain
@@ -75,21 +73,7 @@ def build_chain_graph(sys, delta):
     if not (-TOL <= delta <= 1.0 + TOL):
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     image_rows = sys.dist[np.asarray(sys.map_image)]
-    adjacency = image_rows <= delta + TOL
-    return ChainGraph(sys, float(delta), adjacency)
-
-
-def _graph_period(adj):
-    """gcd of cycle lengths of a strongly connected graph, via BFS levels.
-
-    ``adj`` is a dense or CSR adjacency.  Every edge u -> v closes a
-    cycle-length difference level(u) + 1 - level(v) against the BFS tree from
-    vertex 0; the period is their gcd.
-    """
-    graph = csr_matrix(adj)
-    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    u, v = graph.nonzero()
-    return int(np.gcd.reduce(level[u] + 1 - level[v]))
+    return ChainGraph(sys, float(delta), image_rows <= delta + TOL)
 
 
 def wielandt_bound(n):
@@ -105,16 +89,29 @@ def mixing_certificate(g):
     return g.certificate
 
 
+def _depths(adj):
+    """BFS depth of each vertex from vertex 0 along ``adj``, -1 where not reached."""
+    depth = np.full(adj.shape[0], -1)
+    frontier, level = np.arange(adj.shape[0]) == 0, 0
+    while frontier.any():
+        depth[frontier], level = level, level + 1
+        frontier = adj[frontier].any(axis=0) & (depth < 0)
+    return depth
+
+
 def _certify(adj):
-    """The :class:`MixingCertificate` of a boolean adjacency matrix."""
-    graph = csr_matrix(adj)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
+    """The :class:`MixingCertificate` of a boolean adjacency matrix.
+
+    Strongly connected iff vertex 0 reaches every vertex along ``adj`` and
+    ``adj.T``; the period is then the gcd over the edges u -> v of the
+    cycle-length differences depth(u) + 1 - depth(v) against the BFS tree.
+    """
+    depth = _depths(adj)
+    if (depth < 0).any() or (_depths(adj.T) < 0).any():
         return MixingCertificate(False, 0, None)
-    period = _graph_period(graph)
-    if period != 1:
-        return MixingCertificate(True, period, None)
-    return MixingCertificate(True, 1, _mixing_constant(adj))
+    u, v = np.nonzero(adj)
+    period = int(np.gcd.reduce(depth[u] + 1 - depth[v]))
+    return MixingCertificate(True, period, _mixing_constant(adj) if period == 1 else None)
 
 
 def _mixing_constant(adj):
@@ -208,7 +205,7 @@ def is_delta_chain(traj, g):
 def critical_deltas(sys):
     """The finitely many thresholds at which the chain graph can change."""
     image_rows = sys.dist[np.asarray(sys.map_image)]
-    return sorted(set(np.unique(image_rows).tolist()))
+    return np.unique(image_rows).tolist()
 
 
 # ---------------------------------------------------------------------------

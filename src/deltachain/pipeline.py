@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
-from .chain import build_chain_graph, is_delta_chain, mixing_certificate
-from .core import FiniteTrajectory, _check_type, _field, _read_json, load_system, system_from_dict
+from .chain import build_chain_graph, mixing_certificate
+from .core import _check_type, _field, _read_json, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     MARGINAL_TOL,
@@ -253,7 +253,7 @@ def density_demo(cfg, level, sys=None, graph=None):
             raise SchemaError(f"/target/{i}/word", f"point ids must lie in [0, {sys.n})")
     target = [(PeriodicOrbitMeasure(word), weight) for word, weight in cfg.target]
     for i, (pm, _) in enumerate(target):
-        if not is_delta_chain(FiniteTrajectory(pm.word + pm.word[:1]), graph):
+        if not graph.adjacency[pm.word, np.roll(pm.word, -1)].all():
             raise SchemaError(f"/target/{i}/word", "word is not a cycle of the level graph")
     target_cyl = mixture_cylinders(target, cfg.cylinder_depth)
     approxes = [sigmund_approximation(target, graph, scale) for scale in cfg.block_scales]

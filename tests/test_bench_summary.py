@@ -39,7 +39,7 @@ class TestBenchSummary:
     def test_pairs_medians_and_wins(self, tmp_path):
         parent, change = self.runs(tmp_path)
         out = tmp_path / "bench.json"
-        metrics = {"op_ms.p50": "lower", "ops_per_s": "higher"}
+        metrics = {"op_ms.p50": ("lower", 0.25), "ops_per_s": ("higher", 0.25)}
         summary = bench_summary.summarize(
             bench_summary.load_runs(parent), bench_summary.load_runs(change), metrics
         )
@@ -54,11 +54,44 @@ class TestBenchSummary:
         assert entry["metrics"]["ops_per_s"]["change_wins"] == 2  # higher is better
         assert entry["parent"]["git_commit"] == ["a"] and entry["change"]["src_sha256"] == ["bb"]
         benchmark = tmp_path / "BENCHMARK.json"
-        directions = [{"name": k, "better": v} for k, v in metrics.items()]
+        directions = [{"name": k, "better": v, "bound": b} for k, (v, b) in metrics.items()]
         benchmark.write_text(json.dumps({"end_to_end": directions}))
         args = ["--parent", parent, "--change", change, "--benchmark", str(benchmark)]
         assert bench_summary.main(args + ["--out", str(out)]) == 0
         assert json.loads(out.read_text())["workloads"]["transport"]["pairs"] == 4
+
+    def test_beyond_bound_on_each_side(self, tmp_path, capsys):
+        # bound 0.25 on both metrics, parent medians 10 ms and 100 ops/s
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        parent.mkdir()
+        change.mkdir()
+        sides = {"analyze": (12.4, 76.0), "certify": (12.6, 74.0), "transport": (5.0, 200.0)}
+        for workload, (p50, ops) in sides.items():
+            write_run(parent, workload, 1, 10.0, 100.0, "a")
+            write_run(change, workload, 1, p50, ops, "b")
+        metrics = {"op_ms.p50": ("lower", 0.25), "ops_per_s": ("higher", 0.25)}
+        summary = bench_summary.summarize(
+            bench_summary.load_runs(str(parent)), bench_summary.load_runs(str(change)), metrics
+        )
+        beyond = {
+            w: {name: m["beyond_bound"] for name, m in entry["metrics"].items()}
+            for w, entry in summary.items()
+        }
+        assert beyond == {
+            "analyze": {"op_ms.p50": False, "ops_per_s": False},  # 24% worse on both
+            "certify": {"op_ms.p50": True, "ops_per_s": True},  # 26% worse on both
+            "transport": {"op_ms.p50": False, "ops_per_s": False},  # better on both
+        }
+        assert summary["certify"]["metrics"]["op_ms.p50"]["bound"] == 0.25
+        benchmark = tmp_path / "BENCHMARK.json"
+        entries = [{"name": k, "better": v, "bound": b} for k, (v, b) in metrics.items()]
+        benchmark.write_text(json.dumps({"end_to_end": entries}))
+        args = ["--parent", str(parent), "--change", str(change), "--benchmark", str(benchmark)]
+        assert bench_summary.main(args + ["--out", str(tmp_path / "bench.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  beyond bound: none"
+        assert lines[3] == "  beyond bound: op_ms.p50, ops_per_s"
+        assert lines[5] == "  beyond bound: none"
 
     def test_no_common_run_is_an_error(self, tmp_path):
         empty = tmp_path / "empty"

@@ -1,5 +1,7 @@
 import math
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -11,7 +13,6 @@ from scipy.sparse.csgraph import connected_components
 from deltachain import chain
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import (
-    _graph_period,
     build_chain_graph,
     chain_family,
     critical_deltas,
@@ -161,14 +162,14 @@ class TestGraphPeriod:
         for n in range(1, 9):
             adj = np.zeros((n, n), dtype=bool)
             adj[np.arange(n), (np.arange(n) + 1) % n] = True
-            assert _graph_period(adj) == n == oracle_period(adj)
+            assert chain._certify(adj).period == n == oracle_period(adj)
 
     def test_cycle_with_chord(self):
         # a 6-cycle with chord 0 -> 4 has cycles of lengths 6 and 3
         adj = np.zeros((6, 6), dtype=bool)
         adj[np.arange(6), (np.arange(6) + 1) % 6] = True
         adj[0, 4] = True
-        assert _graph_period(adj) == 3 == oracle_period(adj)
+        assert chain._certify(adj).period == 3 == oracle_period(adj)
 
     def test_bipartite(self):
         rng = np.random.default_rng(6)
@@ -178,7 +179,7 @@ class TestGraphPeriod:
             adj[:left, left:] = rng.random((left, right)) < 0.7
             adj[left:, :left] = True
             adj[np.arange(left), left + np.arange(left) % right] = True  # no sink
-            assert _graph_period(adj) == 2 == oracle_period(adj)
+            assert chain._certify(adj).period == 2 == oracle_period(adj)
 
     def test_random_strongly_connected(self):
         rng = np.random.default_rng(7)
@@ -188,9 +189,39 @@ class TestGraphPeriod:
             adj = rng.random((n, n)) < 0.25
             ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
             if ncomp == 1:
-                assert _graph_period(adj) == oracle_period(adj)
+                assert chain._certify(adj).period == oracle_period(adj)
                 checked += 1
         assert checked > 20
+
+    def test_random_graphs_against_scipy_and_trace_oracles(self):
+        # graphs on 1-12 vertices at several densities; a third are rebuilt so
+        # that vertex 0 reaches every vertex but is reached from none (one-way
+        # out), a third are those transposed (one-way in)
+        rng = np.random.default_rng(18)
+        kinds = {"strong": 0, "not strong": 0, "one-way out": 0, "one-way in": 0}
+        for trial in range(360):
+            n = int(rng.integers(1, 13))
+            adj = rng.random((n, n)) < rng.choice([0.05, 0.15, 0.3, 0.6])
+            if trial % 3 and n > 1:
+                order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+                parents = order[rng.integers(0, np.arange(1, n))]
+                adj[parents, order[1:]] = True  # an out-tree from vertex 0
+                adj[:, 0] = False
+                if trial % 3 == 2:
+                    adj = adj.T
+                kinds["one-way out" if trial % 3 == 1 else "one-way in"] += 1
+            ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+            strong = ncomp == 1
+            kinds["strong" if strong else "not strong"] += 1
+            period = oracle_period(adj) if strong else 0
+            m = scan_mixing_constant(adj) if period == 1 else None
+            assert chain._certify(adj) == chain.MixingCertificate(strong, period, m)
+        assert min(kinds.values()) > 20
+
+    def test_import_loads_no_csgraph(self):
+        code = "import deltachain, sys; print('scipy.sparse.csgraph' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestCachedCertificate:

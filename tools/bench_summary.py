@@ -12,7 +12,9 @@ Runs are paired by (workload, seed); a seed run on one side only is left
 out.  For each workload and each end-to-end metric of ``BENCHMARK.json``
 the file holds the median and quartiles (inclusive method) over the runs
 of each side, the change's wins over its pairs (ties count for neither
-side), the median gap and the parent's q3 - q1.  The seeds, the runs'
+side), the median gap, the parent's q3 - q1, the metric's ``bound`` and
+``beyond_bound``: whether the change's median is worse than the parent's
+by more than bound x the parent's median.  The seeds, the runs'
 ``git_commit`` (null outside a git checkout) and ``src_sha256``, their
 length in seconds and the Python, numpy and scipy versions are recorded
 too.  Standard library only.
@@ -53,7 +55,10 @@ def spread(values):
 
 
 def summarize(parent_runs, change_runs, metrics):
-    """Per-workload summary of the runs present on both sides."""
+    """Per-workload summary of the runs present on both sides.
+
+    ``metrics`` maps each metric name to its ``better`` direction and ``bound``.
+    """
     out = {}
     for workload in sorted({w for w, _ in parent_runs.keys() & change_runs.keys()}):
         seeds = sorted(s for w, s in parent_runs.keys() & change_runs.keys() if w == workload)
@@ -62,18 +67,21 @@ def summarize(parent_runs, change_runs, metrics):
             "change": [change_runs[workload, s] for s in seeds],
         }
         entry = {"seeds": seeds, "pairs": len(seeds), "metrics": {}}
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             values = {side: [run["metrics"][name] for run in runs] for side, runs in sides.items()}
             sign = 1.0 if better == "higher" else -1.0
             pairs = list(zip(values["parent"], values["change"]))
             stats = {side: spread(vals) for side, vals in values.items()}
+            parent, change = stats["parent"]["median"], stats["change"]["median"]
             entry["metrics"][name] = {
                 "better": better,
                 **stats,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
                 "parent_wins": sum(sign * (c - p) < 0 for p, c in pairs),
-                "median_gap": stats["change"]["median"] - stats["parent"]["median"],
+                "median_gap": change - parent,
                 "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "bound": bound,
+                "beyond_bound": sign * (parent - change) > bound * parent,
                 "parent_runs": values["parent"],
                 "change_runs": values["change"],
             }
@@ -96,12 +104,14 @@ def main(argv=None):
         "--change", default=os.path.join(ROOT, "perfbench", "out"), help="run records of the change"
     )
     parser.add_argument(
-        "--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"), help="metric directions"
+        "--benchmark",
+        default=os.path.join(ROOT, "BENCHMARK.json"),
+        help="metric directions and bounds",
     )
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     with open(args.benchmark) as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
     summary = summarize(load_runs(args.parent), load_runs(args.change), metrics)
     if not summary:
         print("error: no workload and seed has a run record on both sides", file=sys.stderr)
@@ -115,6 +125,8 @@ def main(argv=None):
             f"{workload}: {entry['pairs']} pairs, op_ms.p50 {p50['parent']['median']:.2f} -> "
             f"{p50['change']['median']:.2f} ms, change wins {p50['change_wins']}/{entry['pairs']}"
         )
+        beyond = [name for name, m in entry["metrics"].items() if m["beyond_bound"]]
+        print(f"  beyond bound: {', '.join(beyond) or 'none'}")
     return 0
 
 
