@@ -23,8 +23,11 @@ from .errors import InsufficientWindow, NotAMetric, SchemaError, SizeOverflow
 TOL = 1e-12
 
 
-def _check_metric(d, tol=1e-9):
+def _check_metric(d):
     """Raise NotAMetric if ``d`` is not a metric matrix; returns nothing.
+
+    Every check forgives ``tol = 1e-9 * max(1, largest finite |d|)``, so the
+    verdict does not depend on the unit and a normalized metric gets 1e-9.
 
     A +inf entry is accepted as an extended metric: inf equals inf, and a
     triangle whose two sides sum to inf holds (``normalize_metric`` clamps
@@ -49,6 +52,8 @@ def _check_metric(d, tol=1e-9):
     n = d.shape[0]
     if n == 0:
         return
+    top = float(np.abs(d).max())
+    tol = 1e-9 * max(1.0, top if top < np.inf else np.abs(d[np.isfinite(d)]).max(initial=0.0))
     if np.any(d < -tol):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
@@ -61,7 +66,7 @@ def _check_metric(d, tol=1e-9):
             i = int(np.argmax(np.abs(np.diag(d))))
             raise NotAMetric("nonzero diagonal", (i, i))
         gap = pdist(d, "chebyshev") - np.minimum(d, d.T)[np.triu_indices(n, 1)]
-        if np.all(gap <= tol - 16 * np.finfo(float).eps * np.max(np.abs(d))):
+        if np.all(gap <= tol - 16 * np.finfo(float).eps * top):
             return
         _check_triangles(d, tol)
 

@@ -19,8 +19,8 @@ name (where)                value  guards
                                    (delta, eps, window and tail levels), so
                                    exact dyadic grid values do not flip on
                                    rounding
-metric check (core)         1e-9   the symmetry and triangle slack that
-                                   ``_check_metric`` forgives in a raw metric
+metric check (core)         1e-9   ``_check_metric``'s symmetry and triangle
+                                   slack, times max(1, largest finite |d|)
 ``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, and
                                    every transport plan against its marginals;
                                    a config target's weight sum
@@ -158,7 +158,6 @@ class CouplingResult:
 
     value: float
     plan: np.ndarray
-    status: str
     lower_bound: float | None = None
 
 
@@ -229,8 +228,6 @@ def _transport_lps(problems):
     own marginals to ``MARGINAL_TOL``.  Returns one :class:`CouplingResult`
     per problem.
     """
-    if not problems:
-        return []
     counts, index, c, b_eq, supports, n_rows, n_cols = [], [], [], [], [], 0, 0
     for a, b, cost in problems:
         n1, n2 = cost.shape
@@ -258,7 +255,7 @@ def _transport_lps(problems):
         gaps = np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b]))
         if gaps.max(initial=0.0) > MARGINAL_TOL:
             raise Infeasible("transport plan violates its marginals")
-        out.append(CouplingResult(float(cost.ravel() @ plan.ravel()), plan, "optimal"))
+        out.append(CouplingResult(float(cost.ravel() @ plan.ravel()), plan))
     return out
 
 
@@ -420,7 +417,7 @@ def rho_bar_markov_upper(mu, nu, cost):
     c = np.concatenate([cost.ravel(), np.zeros(len(flow))])
     x, value = _solve(c, (len(keys) + n1 + n2 - 1, *csc), b_eq, "coupling")
     lower = w1_distance(mu.stationary, nu.stationary, cost).value
-    return CouplingResult(float(value), x[:npairs].reshape(n1, n2), "optimal", lower_bound=lower)
+    return CouplingResult(float(value), x[:npairs].reshape(n1, n2), lower_bound=lower)
 
 
 def _hausdorff(matrix):
@@ -537,52 +534,45 @@ def sigmund_approximation(target, g, block_scale):
     return PeriodicOrbitMeasure(tuple(_glue(g, blocks, [m] * len(blocks))))
 
 
-def empirical_measure(pm, cylinder_depth):
-    """Cyclic block distributions of a periodic word, per length up to depth."""
+def mixture_cylinders(target, cylinder_depth):
+    """Cyclic block distributions of a mixture: each block occurrence adds weight / period."""
     if cylinder_depth < 1:
         raise SchemaError("/depth", "cylinder depth must be >= 1")
-    p = pm.period
-    ext = pm.word * (cylinder_depth // p + 2)  # each cyclic block is a slice
-    out = {w: {} for w in range(1, cylinder_depth + 1)}
-    for w, dist in out.items():
-        for i in range(p):
-            dist[ext[i : i + w]] = dist.get(ext[i : i + w], 0.0) + 1.0 / p
-    return out
-
-
-def mixture_cylinders(target, cylinder_depth):
-    """Weighted combination of component cylinder distributions."""
     out = {w: {} for w in range(1, cylinder_depth + 1)}
     for pm, weight in target:
-        cyl = empirical_measure(pm, cylinder_depth)
-        for w, dist in cyl.items():
-            for block, mass in dist.items():
-                out[w][block] = out[w].get(block, 0.0) + weight * mass
+        p = pm.period
+        ext = pm.word * (cylinder_depth // p + 2)  # each cyclic block is a slice
+        for w, dist in out.items():
+            for i in range(p):
+                dist[ext[i : i + w]] = dist.get(ext[i : i + w], 0.0) + weight / p
     return out
+
+
+def empirical_measure(pm, cylinder_depth):
+    """Cyclic block distributions of one periodic word: the one-component mixture."""
+    return mixture_cylinders([(pm, 1.0)], cylinder_depth)
 
 
 def weakstar_proxies(pairs, depth, sys):
     """:func:`weakstar_proxy` for every ``(cyl_a, cyl_b)`` in ``pairs``.
 
     The transport problems of every pair and every depth are solved as one
-    block-diagonal LP, each on the two supports (block cost the max coordinate
-    distance); each total is summed over depths 1 .. depth in order.
+    block-diagonal LP, each on the two supports in insertion order (block cost
+    the max coordinate distance); each total is summed over depths in order.
     """
     problems = []
     for cyl_a, cyl_b in pairs:
         if any(w not in cyl for cyl in (cyl_a, cyl_b) for w in range(1, depth + 1)):
             raise DepthMismatch(f"cylinder distributions must reach depth {depth}")
         for w in range(1, depth + 1):
-            sides = [sorted(cyl[w].items()) for cyl in (cyl_a, cyl_b)]
-            ids_a, ids_b = (np.array([k for k, _ in s], dtype=int).reshape(-1, w) for s in sides)
-            a, b = (np.array([mass for _, mass in s], dtype=float) for s in sides)
+            sides = (cyl_a[w], cyl_b[w])
+            ids_a, ids_b = (np.array(list(d), dtype=int).reshape(-1, w) for d in sides)
+            a, b = (np.array(list(d.values()), dtype=float) for d in sides)
             cost = sys.dist[ids_a[:, None, :], ids_b[None, :, :]].max(axis=2)
             problems.append((a, b, cost))
-    values = iter(res.value for res in _transport_lps(problems))
     totals = [0.0] * len(pairs)
-    for i in range(len(pairs)):
-        for w in range(1, depth + 1):
-            totals[i] += 2.0 ** (-w) * next(values)
+    for k, res in enumerate(_transport_lps(problems)):  # pair k // depth, depth k % depth + 1
+        totals[k // depth] += 2.0 ** -(k % depth + 1) * res.value
     return totals
 
 
@@ -601,7 +591,10 @@ def pi_bar_mixture_upper(mix_a, mix_b, sys, radius):
 
     A product of component joinings weighted by both mixtures is itself a
     joining, so the weighted sum of pairwise periodic values bounds the
-    mixture distance from above.
+    mixture distance from above.  When ``mix_a`` is one orbit the bound is
+    exact: a joining of a periodic orbit with sum w_i A_i splits into joinings
+    with each A_i, so the value equals the infimum over joinings of the same
+    tail-raised per-shift cost (checked against an LP over invariant couplings).
     """
     mix_a, mix_b = list(mix_a), list(mix_b)
     value, _, _ = pi_bar_matrices([pm for pm, _ in mix_a], [qm for qm, _ in mix_b], sys, radius)

@@ -5,8 +5,9 @@ import pytest
 from deltachain import cli
 from deltachain.chain import build_chain_graph
 from deltachain.cli import main
-from deltachain.core import load_system
+from deltachain.core import FiniteTrajectory, load_system
 from deltachain.measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_periodic
+from deltachain.shadowing import besicovitch_pi, hat_rho
 
 
 @pytest.fixture
@@ -72,6 +73,22 @@ class TestBesicovitch:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("variant", ["pi", "hat"])
+    def test_pi_and_hat_variants_match_the_library(self, grid4_file, tmp_path, capsys, variant):
+        entries = {"x": [0, 1, 2, 3, 0, 1, 2, 3], "y": [0, 2, 0, 2, 1, 2, 0, 2]}
+        args = ["besicovitch", "--system", grid4_file, "--variant", variant, "--horizon", "4"]
+        for name, ids in entries.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({"entries": ids, "origin": 2}))
+            args += [f"--{name}", str(tmp_path / f"{name}.json")]
+        assert main(args + ["--radius", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        system, _ = load_system(grid4_file)
+        x, y = (FiniteTrajectory(ids, origin=2) for ids in entries.values())
+        est = besicovitch_pi(x, y, system, 4, 2) if variant == "pi" else hat_rho(x, y, system, 4)
+        assert doc == {
+            "variant": est.variant, "value": est.value, "horizon": 4, "error_bar": est.error_bar
+        }
 
     def test_window_error_exit_code(self, grid4_file, tmp_path, capsys):
         x = tmp_path / "x.json"
@@ -194,6 +211,17 @@ class TestDistances:
         monkeypatch.setattr(cli, "_DISTANCE_PAIRS", pairs)
         assert main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+    def test_truncation_comment_on_stderr(self, grid15_file, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "3"]
+        assert main(args + ["--cap", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "# ergodic enumeration truncated at cap 2\n"
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,1,")  # the two kept orbits
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestAnalyze:

@@ -274,6 +274,12 @@ class TestSystemFiles:
         assert not clamped
         assert sys.rho(0, 1) == pytest.approx(0.25)
 
+    def test_line_grid_shortcut(self):
+        data = {"points": ["0", "1", "2"], "metric": {"line_grid": 3}, "map": [0, 2, 1]}
+        sys, clamped = system_from_dict(data)
+        assert not clamped
+        assert sys.dist.tolist() == [[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]]
+
     def test_unknown_field_rejected(self):
         from deltachain.errors import SchemaError
 

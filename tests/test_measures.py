@@ -438,7 +438,7 @@ class TestMassSupport:
             # the union support squared used to be gathered and then cut back
             assert cost.shape == (len(x[w]), len(y[w]))
             assert np.all(a > 0) and np.all(b > 0)
-            blocks_a, blocks_b = sorted(x[w]), sorted(y[w])
+            blocks_a, blocks_b = list(x[w]), list(y[w])  # the build order
             for i, j in itertools.product(range(len(blocks_a)), range(len(blocks_b))):
                 pairs = zip(blocks_a[i], blocks_b[j])
                 assert cost[i, j] == max(sys.rho(u, v) for u, v in pairs)
@@ -1091,6 +1091,20 @@ class TestCylinders:
         cyl = mixture_cylinders(mix, 1)
         assert cyl[1] == {(0,): 0.25, (1,): 0.75}
 
+    def test_mixture_adds_each_occurrence_in_first_seen_order(self):
+        mix = [(PeriodicOrbitMeasure((0, 1, 2)), 0.3), (PeriodicOrbitMeasure((2, 1)), 0.7)]
+        cyl = mixture_cylinders(mix, 2)
+        assert list(cyl[2]) == [(0, 1), (1, 2), (2, 0), (2, 1)]
+        assert list(cyl[2].values()) == pytest.approx([0.1, 0.1 + 0.35, 0.1, 0.35], abs=1e-15)
+
+    def test_depth_below_one_is_rejected(self):
+        pm = PeriodicOrbitMeasure((0, 1))
+        cases = [(empirical_measure, pm), (mixture_cylinders, []), (mixture_cylinders, [(pm, 1.0)])]
+        for build, arg in cases:
+            with pytest.raises(SchemaError) as err:
+                build(arg, 0)
+            assert err.value.pointer == "/depth"
+
     def test_weakstar_zero_on_equal(self):
         sys = circle_doubling(4)
         cyl = empirical_measure(PeriodicOrbitMeasure((0, 1)), 3)
@@ -1112,7 +1126,62 @@ class TestCylinders:
         )
 
 
+def orbit_mixture_joining_lp(word, target, sys, radius):
+    """Independent reference for the pi_bar value between one orbit and a mixture.
+
+    The joinings of the orbit measure of ``word`` with sum w_i A_i are the
+    distributions on (position s in word) x (component i, position t in A_i)
+    invariant under the joint +1 shift, with marginals 1/p on s and w_i/q_i
+    on (i, t).  Minimizes the expected per-shift cost, max over |k| <= radius
+    of min(rho, 1/(|k|+1)) raised to the tail 1/(radius+2), each term from a
+    plain loop.  No phase formula is used.
+    """
+    p = len(word)
+    cells = [(i, t) for i, (pm, _) in enumerate(target) for t in range(pm.period)]
+    states = [(s, i, t) for s in range(p) for i, t in cells]
+    index = {z: k for k, z in enumerate(states)}
+    rows, cols, data, b_eq, cost = [], [], [], [], []
+    for k, (s, i, t) in enumerate(states):
+        other = target[i][0].word
+        q = len(other)
+        terms = [
+            min(sys.rho(word[(s + j) % p], other[(t + j) % q]), 1.0 / (abs(j) + 1))
+            for j in range(-radius, radius + 1)
+        ]
+        cost.append(max(max(terms), 1.0 / (radius + 2)))
+        rows += [k, k]
+        cols += [k, index[(s + 1) % p, i, (t + 1) % q]]
+        data += [1.0, -1.0]
+        b_eq.append(0.0)
+    marginals = [(("mu", s), 1.0 / p) for s in range(p)]
+    marginals += [(("nu", i, t), target[i][1] / target[i][0].period) for i, t in cells]
+    row_of = {key: len(states) + r for r, (key, _) in enumerate(marginals)}
+    for k, (s, i, t) in enumerate(states):
+        rows += [row_of["mu", s], row_of["nu", i, t]]
+        cols += [k, k]
+        data += [1.0, 1.0]
+    b_eq += [mass for _, mass in marginals]
+    a_eq = coo_matrix((data, (rows, cols)), shape=(len(b_eq), len(states)))
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
 class TestPiBarMixture:
+    @pytest.mark.parametrize("radius", [8, 4])
+    @pytest.mark.parametrize("block_scale", [8, 16, 32, 64])
+    @pytest.mark.parametrize("words", [[(0,), (5, 10)], [(0,), (5, 10), (1, 2, 4, 8)]])
+    def test_one_orbit_against_a_mixture_is_exact(self, words, block_scale, radius):
+        # a joining of one orbit with sum w_i A_i splits into joinings with each A_i
+        sys = circle_doubling(15)
+        graph = build_chain_graph(sys, 0.2)
+        weights = [0.5, 0.5] if len(words) == 2 else [0.25, 0.25, 0.5]
+        target = [(PeriodicOrbitMeasure(w), wt) for w, wt in zip(words, weights)]
+        approx = sigmund_approximation(target, graph, block_scale)
+        upper = pi_bar_mixture_upper([(approx, 1.0)], target, sys, radius)
+        exact = orbit_mixture_joining_lp(approx.word, target, sys, radius)
+        assert upper == pytest.approx(exact, abs=1e-12)
+
     def test_trivial_mixture_equals_pairwise(self):
         sys = circle_doubling(4)
         pm = PeriodicOrbitMeasure((0,))

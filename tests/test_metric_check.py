@@ -1,8 +1,9 @@
 """The metric check at the trust boundary, against the per-middle-point loop.
 
 ``loop_check_metric`` is the triangle check as it was before the Chebyshev
-fast accept; ``core._check_metric`` must reach the same decision and name
-the same witness on every input.
+fast accept, with the same tolerance ``TOL * max(1, largest finite |d|)``;
+``core._check_metric`` must reach the same decision and name the same
+witness on every input.
 """
 
 import json
@@ -28,11 +29,12 @@ from deltachain.errors import NotAMetric, SchemaError
 TOL = 1e-9
 
 
-def loop_check_metric(d, tol=TOL):
+def loop_check_metric(d):
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotAMetric("matrix is not square")
     n = d.shape[0]
+    tol = TOL * max(1.0, np.abs(d[np.isfinite(d)]).max(initial=0.0))
     if np.any(d < -tol):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
@@ -138,16 +140,40 @@ class TestAgainstTheLoop:
         assert outcome(_check_metric, d) == expect
 
     def test_rounding_margin_at_large_scale(self):
-        # The exact slack c - a - b is below tol and so is every Chebyshev gap,
-        # but the loop rounds a + b down and sees a slack above tol.
+        # The exact slack c - a - b is within 1e-9, but the loop rounds a + b down
+        # and sees it above: against an absolute 1e-9 rounding would set the
+        # verdict.  Relative to max|d| = c the tolerance is near 8e-4.
         a = 3 * 2.0**17 + 2.0**-34
         b = 3 * 2.0**17
         c = (a + b) + 9 * 2.0**-33
         assert Fraction(c) - Fraction(a) - Fraction(b) <= Fraction(TOL) < c - (a + b)
         d = np.array([[0.0, a, c], [a, 0.0, b], [c, b, 0.0]])
+        assert outcome(loop_check_metric, d) is None
+        assert outcome(_check_metric, d) is None
+        # a slack of twice the relative tolerance is rejected by both, with one witness
+        d[0, 2] = d[2, 0] = (a + b) + 2 * TOL * c
         expect = outcome(loop_check_metric, d)
         assert expect == ("triangle inequality fails", (0, 1, 2))
         assert outcome(_check_metric, d) == expect
+
+    def test_valid_at_scale_1e6_never_reaches_the_loop(self, monkeypatch):
+        # at this scale the rounding margin 16 eps max|d| exceeds an absolute 1e-9
+        d = euclidean(np.random.default_rng(200), 200) * 1e6
+
+        def fail(*args):
+            raise AssertionError("triangle loop reached")
+
+        monkeypatch.setattr(core, "_check_triangles", fail)
+        _check_metric(d)
+
+    @pytest.mark.parametrize("slack", [1.8e-9, 2.2e-9])
+    def test_near_tight_triple_same_verdict_at_scales_1_and_1e6(self, slack):
+        # sides 1, 1 and 2 + slack: tol is 1e-9 * (2 + slack) at scale 1
+        d = np.array([[0.0, 1.0, 2.0 + slack], [1.0, 0.0, 1.0], [2.0 + slack, 1.0, 0.0]])
+        expect = None if slack < 2e-9 else ("triangle inequality fails", (0, 1, 2))
+        for scale in (1.0, 1e6):
+            assert outcome(loop_check_metric, d * scale) == expect
+            assert outcome(_check_metric, d * scale) == expect
 
     def test_asymmetry_within_tol_uses_the_smaller_entry(self):
         # Collinear 0, 1/4, 1/2 with both lower-triangle entries lowered by
@@ -257,9 +283,9 @@ def check_calls(monkeypatch):
     calls = []
     real = core._check_metric
 
-    def counting(d, tol=1e-9):
+    def counting(d):
         calls.append(np.shape(d))
-        return real(d, tol)
+        return real(d)
 
     monkeypatch.setattr(core, "_check_metric", counting)
     return calls

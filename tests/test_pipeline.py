@@ -127,6 +127,26 @@ class TestRunPipeline:
         assert [r["block_scale"] for r in rows] == [8, 32, 128]
         assert rows[-1]["weakstar_proxy"] <= rows[0]["weakstar_proxy"] + 1e-9
 
+    def test_system_file_path_gives_the_builtin_report(self, tmp_path):
+        path = tmp_path / "sys15.json"
+        assert main(["generate", "circle-doubling", "--n", "15", "--out", str(path)]) == 0
+        by_path = run_pipeline(small_config(system=str(path)))
+        builtin = run_pipeline(small_config())
+        assert by_path.levels == builtin.levels and by_path.cross_level == builtin.cross_level
+
+    def test_non_primitive_density_level_recorded_not_raised(self):
+        # below the grid step 1/5 the rotation's own edges are the whole graph: period 5
+        cfg = small_config(
+            system={"builtin": "circle-rotation", "n": 5},
+            n_max=6,
+            period_cap=5,
+            target=[{"word": [0, 1, 2, 3, 4], "weight": 1.0}],
+        )
+        report = run_pipeline(cfg)
+        assert report.levels[-1]["period"] == 5 and report.density is None
+        reason = "level 6 graph is not primitive"
+        assert report.errors == [{"stage": "density_demo", "reason": reason}]
+
     def test_sampled_flag_on_large_sets(self):
         cfg = small_config(period_cap=3, hausdorff_sample=5)
         report = run_pipeline(cfg)

@@ -82,6 +82,17 @@ class TestValidatePseudoOrbit:
         assert report.passed
         assert report.label == "consistent at horizon"
 
+    def test_asymptotic_witness_is_the_first_prefix_over_its_tolerance(self):
+        sys = circle_doubling(15)
+        ids = sys.orbit(3, 31)  # 30 steps: prefixes n = 15 .. 30 are checked
+        ids[20] = (ids[20] + 1) % 15  # step 19 -> 20 errs by 1/15; prefixes n < 20 are 0
+        orbit = FiniteTrajectory(ids, origin=0)
+        report = validate_pseudo_orbit(
+            orbit, sys, "asymptotic_average", tolerance_schedule=lambda n: 1e-3
+        )
+        assert not report.passed
+        assert report.witness == 20
+
     def test_asymptotic_requires_schedule(self):
         sys = circle_doubling(15)
         orbit = FiniteTrajectory(sys.orbit(3, 10), origin=0)
