@@ -26,22 +26,20 @@ TOL = 1e-12
 def _check_metric(d):
     """Raise NotAMetric if ``d`` is not a metric matrix; returns nothing.
 
-    Every check forgives ``tol = 1e-9 * max(1, largest finite |d|)``, so the
-    verdict does not depend on the unit and a normalized metric gets 1e-9.
-
-    A +inf entry is accepted as an extended metric: inf equals inf, and a
-    triangle whose two sides sum to inf holds (``normalize_metric`` clamps
-    inf to 1).  NaN is rejected.
+    A negative or diagonal entry may be off 0 by 1e-9, an asymmetry or a
+    triangle slack by 1e-9 x max(1, its entry: the pair's smaller one; the
+    long side), so the verdict does not depend on the unit and a slack kept by
+    ``normalize_metric``'s clamp to 1 is within 1e-9.  +inf is an extended
+    metric value (a triangle with an infinite side sum holds); NaN is rejected.
 
     A symmetric d satisfies every triangle inequality iff each row map
-    u -> d(u, .) is 1-Lipschitz into l-infinity (Frechet-Kuratowski), i.e.
-    ``max_k |d[i,k] - d[j,k]| <= d[i,j]`` for every pair: one Chebyshev
-    ``pdist``.  Gaps are taken to ``min(d[i,j], d[j,i])`` to cover the
-    asymmetry of up to ``tol`` that is allowed, and the margin
-    ``16 * eps * max|d|`` exceeds the rounding of both this check and the
-    loop, so the fast path accepts nothing the loop would reject.  All else
-    (a slack near ``tol``, a violation, an infinite entry) goes to the loop,
-    which decides and names the witness triple.
+    u -> d(u, .) is 1-Lipschitz into l-infinity (Frechet-Kuratowski): one
+    Chebyshev ``pdist`` gives ``max_k |d[i,k] - d[j,k]|`` for every pair.  Its
+    gap to ``min(d[i,j], d[j,i])`` is taken relative to that entry's scale,
+    at most the long side of a triangle with positive slack, with a margin
+    ``16 * eps`` above the rounding of both this check and the loop, so the
+    fast path accepts nothing the loop would reject.  All else (a violation,
+    a slack near the tolerance, an infinite entry) goes to the loop.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -52,35 +50,36 @@ def _check_metric(d):
     n = d.shape[0]
     if n == 0:
         return
-    top = float(np.abs(d).max())
-    tol = 1e-9 * max(1.0, top if top < np.inf else np.abs(d[np.isfinite(d)]).max(initial=0.0))
-    if np.any(d < -tol):
+    if np.any(d < -1e-9):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fmax skips
-        asym = np.abs(d - d.T)
-        if np.fmax.reduce(asym, axis=None) > tol:
+        scale = np.clip(d, 1.0, np.finfo(float).max)  # max(1, d), finite so an infinite slack fails
+        near = np.minimum(scale, scale.T)
+        asym = np.abs(d - d.T) / near
+        if np.fmax.reduce(asym, axis=None) > 1e-9:
             i, j = np.unravel_index(np.nanargmax(asym), asym.shape)
             raise NotAMetric("not symmetric", (int(i), int(j)))
-        if np.max(np.abs(np.diag(d))) > tol:
+        if np.max(np.abs(np.diag(d))) > 1e-9:
             i = int(np.argmax(np.abs(np.diag(d))))
             raise NotAMetric("nonzero diagonal", (i, i))
-        gap = pdist(d, "chebyshev") - np.minimum(d, d.T)[np.triu_indices(n, 1)]
-        if np.all(gap <= tol - 16 * np.finfo(float).eps * top):
+        pair = np.triu_indices(n, 1)
+        gap = (pdist(d, "chebyshev") - np.minimum(d, d.T)[pair]) / near[pair]
+        if np.all(gap <= 1e-9 - 16 * np.finfo(float).eps):
             return
-        _check_triangles(d, tol)
+        _check_triangles(d, scale)
 
 
-def _check_triangles(d, tol):
+def _check_triangles(d, scale):
     """The exact triangle check: for each middle point j, d[i,k] <= d[i,j] + d[j,k].
 
-    A NaN slack (inf <= inf + x) holds: ``fmax`` skips it where ``max`` would
-    return it and hide every other violation at that middle point.  Call under
-    ``np.errstate(invalid="ignore")``.
+    Slack is relative to ``scale[i,k]``; the witness has the largest.  A NaN
+    slack (inf <= inf + x) holds: ``fmax`` skips it, where ``max`` returns it
+    and hides every other violation at that middle point.  Call under errstate.
     """
     for j in range(d.shape[0]):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        if np.fmax.reduce(slack, axis=None) > tol:
+        slack = (d - (d[:, j][:, None] + d[j, :][None, :])) / scale
+        if np.fmax.reduce(slack, axis=None) > 1e-9:
             i, k = np.unravel_index(np.nanargmax(slack), slack.shape)
             raise NotAMetric("triangle inequality fails", (int(i), j, int(k)))
 

@@ -19,8 +19,8 @@ name (where)                value  guards
                                    (delta, eps, window and tail levels), so
                                    exact dyadic grid values do not flip on
                                    rounding
-metric check (core)         1e-9   ``_check_metric``'s symmetry and triangle
-                                   slack, times max(1, largest finite |d|)
+metric check (core)         1e-9   ``_check_metric``'s entries; asymmetry and
+                                   triangle slack times max(1, their entry)
 ``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, and
                                    every transport plan against its marginals;
                                    a config target's weight sum
@@ -560,6 +560,8 @@ def weakstar_proxies(pairs, depth, sys):
     block-diagonal LP, each on the two supports in insertion order (block cost
     the max coordinate distance); each total is summed over depths in order.
     """
+    if depth < 1:
+        raise SchemaError("/depth", "cylinder depth must be >= 1")
     problems = []
     for cyl_a, cyl_b in pairs:
         if any(w not in cyl for cyl in (cyl_a, cyl_b) for w in range(1, depth + 1)):

@@ -212,7 +212,6 @@ class TestDistances:
         assert main(args + ["--out", str(tmp_path / "blocks.csv")]) == 0
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
-
     def test_truncation_comment_on_stderr(self, grid15_file, tmp_path, capsys):
         out = tmp_path / "d.csv"
         args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "3"]

@@ -1104,6 +1104,14 @@ class TestCylinders:
             with pytest.raises(SchemaError) as err:
                 build(arg, 0)
             assert err.value.pointer == "/depth"
+        cyl, sys = empirical_measure(pm, 2), circle_doubling(4)
+        for depth in (0, -3):
+            with pytest.raises(SchemaError) as err:
+                weakstar_proxy(cyl, cyl, depth, sys)
+            assert err.value.pointer == "/depth"
+            with pytest.raises(SchemaError) as err:
+                weakstar_proxies([], depth, sys)
+            assert err.value.pointer == "/depth"
 
     def test_weakstar_zero_on_equal(self):
         sys = circle_doubling(4)

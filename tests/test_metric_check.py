@@ -1,7 +1,8 @@
 """The metric check at the trust boundary, against the per-middle-point loop.
 
 ``loop_check_metric`` is the triangle check as it was before the Chebyshev
-fast accept, with the same tolerance ``TOL * max(1, largest finite |d|)``;
+fast accept, with the same tolerances: 1e-9 for a negative or diagonal entry,
+1e-9 times ``max(1, d)`` of the entry for an asymmetry or a triangle slack;
 ``core._check_metric`` must reach the same decision and name the same
 witness on every input.
 """
@@ -34,20 +35,20 @@ def loop_check_metric(d):
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotAMetric("matrix is not square")
     n = d.shape[0]
-    tol = TOL * max(1.0, np.abs(d[np.isfinite(d)]).max(initial=0.0))
-    if np.any(d < -tol):
+    scale = np.clip(d, 1.0, np.finfo(float).max)
+    if np.any(d < -TOL):
         i, j = np.unravel_index(np.argmin(d), d.shape)
         raise NotAMetric("negative entry", (int(i), int(j)))
-    asym = np.abs(d - d.T)
-    if np.max(asym) > tol:
+    asym = np.abs(d - d.T) / np.minimum(scale, scale.T)
+    if np.max(asym) > TOL:
         i, j = np.unravel_index(np.argmax(asym), asym.shape)
         raise NotAMetric("not symmetric", (int(i), int(j)))
-    if np.max(np.abs(np.diag(d))) > tol:
+    if np.max(np.abs(np.diag(d))) > TOL:
         i = int(np.argmax(np.abs(np.diag(d))))
         raise NotAMetric("nonzero diagonal", (i, i))
     for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        if np.max(slack) > tol:
+        slack = (d - (d[:, j][:, None] + d[j, :][None, :])) / scale
+        if np.max(slack) > TOL:
             i, k = np.unravel_index(np.argmax(slack), slack.shape)
             raise NotAMetric("triangle inequality fails", (int(i), j, int(k)))
 
@@ -116,6 +117,31 @@ class TestAgainstTheLoop:
         for index in range(100):
             d = random_matrix(rng, index)
             assert outcome(_check_metric, d) == outcome(loop_check_metric, d), (seed, index)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_next_to_a_far_point_and_after_clamping(self, seed):
+        # a point 1e12 from all others keeps a metric a metric and must not
+        # loosen the check of the other entries; what is accepted stays a
+        # metric to an absolute 1e-9 once clamped to 1
+        rng = np.random.default_rng([18, seed])
+        for index in range(60):
+            d = random_matrix(rng, index)
+            d = np.pad(d, (0, 1), constant_values=1e12)
+            d[-1, -1] = 0.0
+            expect = outcome(loop_check_metric, d)
+            assert outcome(_check_metric, d) == expect, (seed, index)
+            if expect is None:
+                assert outcome(loop_check_metric, np.minimum(d, 1.0)) is None, (seed, index)
+
+    def test_far_point_does_not_forgive_a_small_triangle(self):
+        # 0.9 > 0.01 + 0.01 among the first three points, all 1e12 from the fourth
+        matrix = [[0, 0.01, 0.9, 1e12], [0.01, 0, 0.01, 1e12], [0.9, 0.01, 0, 1e12], [1e12, 1e12, 1e12, 0]]
+        expect = ("triangle inequality fails", (0, 1, 2))
+        assert outcome(loop_check_metric, matrix) == expect
+        assert outcome(_check_metric, matrix) == expect
+        assert outcome(normalize_metric, matrix) == expect
+        data = {"points": ["a", "b", "c", "d"], "map": [1, 2, 3, 0], "metric": {"matrix": matrix}}
+        assert outcome(system_from_dict, data) == expect
 
     def test_fuzz_reaches_both_verdicts(self):
         rng = np.random.default_rng([17, 0])
