@@ -5,7 +5,8 @@ Subcommands mirror the library surface: `generate` writes built-in systems,
 pseudometrics, `trace-spec` runs the periodic gluing construction,
 `distances` tabulates pairwise measure distances, `density-demo` and
 `analyze` run the pipeline.  Exit codes: 0 success, 2 schema error, 3 when a
-mixing-requiring command meets a non-mixing graph.
+mixing-requiring command meets a non-mixing graph, 1 on any other library
+error, such as a `distances` table over its pair cap.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from contextlib import nullcontext
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, to_adjacency_lines, to_dot
 from .core import FiniteTrajectory, IntervalSegment, _field, _read_json, load_system, system_to_dict
-from .errors import DeltachainError, NotMixing, SchemaError
+from .errors import DeltachainError, NotMixing, SchemaError, SizeOverflow
 from .measures import _rho_bar_matrices, ergodic_measures_of_graph, pi_bar_matrices
 from .pipeline import density_demo, emit_report, load_config, run_pipeline
 from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
 
 _DISTANCE_PAIRS = 1 << 16  # bound on the pairs of one block of rows in ``distances``
+_MAX_PAIRS = 1_000_000  # bound on the pairs of one ``distances`` table (about 48 MB of CSV)
 
 
 def _load_trajectory(data, system, pointer=""):
@@ -126,12 +128,22 @@ def _cmd_trace_spec(args):
 
 
 def _cmd_distances(args):
+    """rho_bar and pi_bar between every pair of enumerated orbits, as CSV rows.
+
+    A table of more than ``_MAX_PAIRS`` = 10^6 pairs, n (n - 1) / 2 for n
+    orbits, raises :class:`SizeOverflow` before the header or any kernel work.
+    """
     system, _ = load_system(args.system)
     graph = build_chain_graph(system, args.delta)
     measures, truncated = ergodic_measures_of_graph(graph, args.period_cap, args.cap)
+    n = len(measures)
+    if n * (n - 1) // 2 > _MAX_PAIRS:
+        raise SizeOverflow(
+            f"{n} orbits give {n * (n - 1) // 2} pairs, over the cap of {_MAX_PAIRS}; "
+            "lower --cap or --period-cap"
+        )
     # one rho_bar and one pi_bar call per block of rows lo .. hi-1 against
     # measures[lo+1:], each row's entries j > i written before the next block
-    n = len(measures)
     with open(args.out, "w", newline="") if args.out else nullcontext(_sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "rho_bar", "pi_bar"])
@@ -203,7 +215,10 @@ def build_parser():
     p.add_argument("--emit")
     p.set_defaults(func=_cmd_trace_spec)
 
-    p = sub.add_parser("distances", help="pairwise distances between ergodic measures")
+    p = sub.add_parser(
+        "distances",
+        help="pairwise distances between ergodic measures (at most 10^6 pairs, else exit 1)",
+    )
     p.add_argument("--system", required=True)
     p.add_argument("--delta", type=_unit_interval, required=True)
     p.add_argument("--period-cap", type=int, default=5)

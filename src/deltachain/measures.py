@@ -8,7 +8,11 @@ graphs).  Transport values are HiGHS floating-point LP optima, feasible to
 only ever exposed as an (upper, lower) bound pair.  Every LP is one call
 of :func:`_solve`, which hands the model to scipy's bundled HiGHS bindings
 (the solver ``linprog(method="highs")`` runs, without its wrapper) as
-column-wise arrays written directly, with no scipy.sparse matrix.
+column-wise arrays written directly, with no scipy.sparse matrix, and
+returns the row duals with the optimum.  A transport block with more than
+``_SHORTLIST`` = 16 points on both sides starts on a cost shortlist, and
+further cells are added as those duals price them in, until none is left
+with a negative reduced cost: the result is the full LP's optimum.
 
 The library's tolerances, and what each guards:
 
@@ -28,6 +32,9 @@ metric check (core)         1e-9   ``_check_metric``'s entries; asymmetry and
                                    its phase-0 bound
 HiGHS feasibility           1e-7   primal and dual feasibility of each LP
                                    optimum (the solver's default)
+pricing stop (here)         0      reduced cost c_ij - u_i - v_j >= 0 on every
+                                   transport cell left out of the LP, with no
+                                   tolerance: the full LP's dual feasibility
 ==========================  =====  =========================================
 """
 
@@ -54,6 +61,8 @@ from .errors import (
 MARGINAL_TOL = 1e-9
 _GATHER_FLOATS = 1 << 21  # bound on one pi_bar_matrices temporary (16 MB)
 _FRONTIER_CELLS = 1 << 18  # bound on one simple_cycle_words block (2 MB of ids)
+_SHORTLIST = 16  # cheapest cells per row and per column a large transport block starts on
+_PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
 
 
 @dataclass(frozen=True)
@@ -161,24 +170,35 @@ class CouplingResult:
     lower_bound: float | None = None
 
 
-def _solve(c, a_eq, b_eq, what):
-    """One HiGHS solve of min c @ x over A_eq x = b_eq, x >= 0: ``(x, objective)``.
+def _fits(n_cols, start, index, value):
+    """Whether CSC arrays hold ``n_cols`` columns: the lengths HiGHS reads unchecked."""
+    return len(start) == n_cols + 1 and start[-1] == len(index) == len(value)
+
+
+def _solve(c, a_eq, b_eq, what, price=None):
+    """HiGHS solves of min c @ x over A_eq x = b_eq, x >= 0: ``(x, objective, row_dual)``.
 
     ``a_eq`` is ``(n_rows, start, index, value)``, the CSC arrays of a matrix
     with ``len(c)`` columns, checked for the lengths HiGHS reads unchecked
     and passed to the array overload of ``passModel``.  The options are
     those that ``linprog(method="highs", options={"presolve": False})`` sets
-    away from HiGHS's defaults, so ``x`` and the objective are the same
-    bits: presolve off (these LPs are small, and each transport block is cut
-    to its mass support by :func:`_transport_lps`), the dual simplex
-    strategy, no log output.  Every other option, the 1e-7 feasibility
-    tolerances included, is HiGHS's default.  An iteration limit raises
-    :class:`SolverIterationCap`; a length mismatch, a rejected model or any
-    other status than optimal raises :class:`Infeasible` naming it.
+    away from HiGHS's defaults, so without ``price`` ``x`` and the objective
+    are the same bits: presolve off (these LPs are small, and each transport
+    block is cut to its mass support by :func:`_transport_lps`), the dual
+    simplex strategy, no log output.  Every other option, the 1e-7
+    feasibility tolerances included, is HiGHS's default.  After each optimal
+    run the row duals y (reduced cost c_j - a_j @ y) go to ``price``; if it
+    returns ``(c, start, index, value)`` of new columns, they are appended
+    with ``addCols`` and the LP runs again from the current basis with the
+    primal simplex, until ``price`` returns None.  ``x`` covers every column
+    in order, appended ones last.  The model status is checked after every
+    run: an iteration limit raises :class:`SolverIterationCap`; a length
+    mismatch, a rejected model or any other status than optimal raises
+    :class:`Infeasible` naming it.
     """
     n_rows, start, index, value = a_eq
     n_cols = len(c)
-    if len(b_eq) != n_rows or len(start) != n_cols + 1 or not start[-1] == len(index) == len(value):
+    if len(b_eq) != n_rows or not _fits(n_cols, start, index, value):
         raise Infeasible(f"{what} LP: HiGHS rejected the model")
     options = _highs.HighsOptions()
     options.presolve = "off"
@@ -192,25 +212,72 @@ def _solve(c, a_eq, b_eq, what):
     model = (n_cols, n_rows, len(index), 1, 1, 0.0, c, *bounds, start, index, value)
     if highs.passModel(*model, np.zeros(n_cols, dtype=np.int32)) == _highs.HighsStatus.kError:
         raise Infeasible(f"{what} LP: HiGHS rejected the model")
-    highs.run()
-    status = highs.getModelStatus()
-    if status == _highs.HighsModelStatus.kIterationLimit:
-        raise SolverIterationCap(f"{what} LP hit its iteration limit")
-    if status != _highs.HighsModelStatus.kOptimal:
-        raise Infeasible(f"{what} LP failed: {highs.modelStatusToString(status)}")
-    return np.array(highs.getSolution().col_value), highs.getInfo().objective_function_value
+    while True:
+        highs.run()
+        status = highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kIterationLimit:
+            raise SolverIterationCap(f"{what} LP hit its iteration limit")
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise Infeasible(f"{what} LP failed: {highs.modelStatusToString(status)}")
+        solution = highs.getSolution()
+        row_dual = np.array(solution.row_dual)
+        new = price(row_dual) if price else None
+        if new is None:
+            break
+        cost, start, index, value = new
+        n = len(cost)
+        bounds = (np.zeros(n), np.full(n, _highs.kHighsInf))
+        added = (n, cost, *bounds, len(index), start[:-1], index, value)
+        if not _fits(n, start, index, value) or highs.addCols(*added) == _highs.HighsStatus.kError:
+            raise Infeasible(f"{what} LP: HiGHS rejected the priced columns")
+        highs.setOptionValue("simplex_strategy", _PRIMAL)
+    objective = highs.getInfo().objective_function_value
+    return np.array(solution.col_value), objective, row_dual
 
 
-def _transport_csc(n1, n2):
-    """CSC ``(start, index)`` of an n1 x n2 plan's row sums, then column sums but the last.
+def _transport_csc(cells, n1, n2):
+    """CSC ``(start, index)`` of the listed cells of an n1 x n2 plan, one column each.
 
-    Column k = i * n2 + j holds row i and, if j < n2 - 1, row n1 + j: it starts at 2k - i.
+    Cell k = i * n2 + j holds row i (its row sum) and, if j < n2 - 1, row n1 + j
+    (its column sum; the last column's sum is implied).  All n1 * n2 cells in
+    order give the whole transport constraint matrix.  ``n1`` and ``n2`` may
+    also be arrays, one shape per cell.
     """
-    k = np.arange(n1 * n2 + 1, dtype=np.int32)
-    index = np.empty((n1, 2 * n2 - 1), dtype=np.int32)
-    index[:, 0::2] = np.arange(n1)[:, None]
-    index[:, 1::2] = n1 + np.arange(n2 - 1)
-    return 2 * k - k // n2, index.ravel()
+    i, j = np.divmod(cells, n2)
+    inner = j < n2 - 1
+    start = np.append(0, np.cumsum(1 + inner)).astype(np.int32)
+    index = np.empty(start[-1], dtype=np.int32)
+    index[start[:-1]] = i
+    index[start[:-1][inner] + 1] = (n1 + j)[inner]
+    return start, index
+
+
+def _northwest_corner(a, b):
+    """``(i, j)`` of the north-west-corner plan of marginals ``a``, ``b``, in order.
+
+    The staircase from (0, 0) steps down a row as the cumulative mass of ``a``
+    is passed and right a column as that of ``b`` is: n1 + n2 - 1 cells that
+    carry a feasible plan, so a cell set holding them keeps the LP feasible.
+    """
+    down = np.arange(len(a) + len(b) - 2) < len(a) - 1
+    steps = down[np.argsort(np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]]), kind="stable")]
+    return np.cumsum(np.append(False, steps)), np.cumsum(np.append(False, ~steps))
+
+
+def _shortlist(a, b, cost):
+    """Mask of a transport block's starting cells: all of them when min(n1, n2) <= ``_SHORTLIST``.
+
+    Otherwise the ``_SHORTLIST`` cheapest cells of every row and of every
+    column, and the north-west-corner cells, which keep the LP feasible.
+    """
+    k = _SHORTLIST
+    if min(cost.shape) <= k:
+        return np.ones(cost.shape, dtype=bool)
+    keep = np.zeros(cost.shape, dtype=bool)
+    np.put_along_axis(keep, np.argpartition(cost, k - 1, axis=1)[:, :k], True, axis=1)
+    np.put_along_axis(keep, np.argpartition(cost, k - 1, axis=0)[:k], True, axis=0)
+    keep[_northwest_corner(a, b)] = True
+    return keep
 
 
 def _transport_lps(problems):
@@ -220,34 +287,68 @@ def _transport_lps(problems):
     the columns where b != 0 (only exact zeros are dropped): with x >= 0 a
     zero-mass row or column forces its plan entries to 0, so the optimum is
     the same.  The reduced blocks are stacked block-diagonally and solved in
-    one HiGHS call without presolve (see :func:`_solve`); a block with an
-    empty support on either side does not reach HiGHS.  The blocks share no
-    variables, so the joint optimum restricted to a block is optimal for it.
-    Each block's solution is written into a zero plan of the full shape, its
-    value is read as ``cost @ plan``, and the plan is checked against its
-    own marginals to ``MARGINAL_TOL``.  Returns one :class:`CouplingResult`
-    per problem.
+    one :func:`_solve` call without presolve; a block with an empty support
+    on either side does not reach HiGHS.  The blocks share no variables, so
+    the joint optimum restricted to a block is optimal for it.
+
+    A block with min(n1, n2) <= ``_SHORTLIST`` enters with every cell, so an
+    LP of such blocks only is the whole LP, run once with no pricing.  A
+    larger block enters with the cells of :func:`_shortlist` (the shortlist
+    method of Gottschlich and Schuhmacher, PLoS ONE 9(10), 2014), and the
+    others are priced in: with u the block's row-sum duals and v its
+    column-sum duals (v = 0 for the dropped last column), every excluded
+    cell with c_ij - u_i - v_j < 0 is added, with no tolerance, and the LP
+    runs again, until no such cell is left.  That is the full LP's dual
+    feasibility on every cell HiGHS did not see, so the optimum is the full
+    LP's.  The solution is scattered back in the LP's column order; each
+    block's plan is a zero plan of the full shape holding its cells, its
+    value is read as ``cost @ plan``, and it is checked against its own
+    marginals to ``MARGINAL_TOL``.  Returns one :class:`CouplingResult` per
+    problem.
     """
-    counts, index, c, b_eq, supports, n_rows, n_cols = [], [], [], [], [], 0, 0
+    blocks, b_eq, supports, order, n_rows, n_cells = [], [], [], [], 0, 0
     for a, b, cost in problems:
         n1, n2 = cost.shape
         if a.shape != (n1,) or b.shape != (n2,):
             raise SchemaError("/cost", "cost shape must match the two marginals")
         i, j = np.flatnonzero(a), np.flatnonzero(b)
-        supports.append((i, j, n_cols))
+        supports.append((i, j, n_cells))
         if len(i) and len(j):
-            start, rows = _transport_csc(len(i), len(j))
-            counts.append(np.diff(start))
-            index.append(rows + n_rows)
-            c.append(cost[np.ix_(i, j)].ravel())
+            block = cost[np.ix_(i, j)]
+            blocks.append((block, n_rows, n_cells, _shortlist(a[i], b[j], block)))
             b_eq += [a[i], b[j[:-1]]]
             n_rows += len(i) + len(j) - 1
-            n_cols += len(i) * len(j)
-    x = np.zeros(0)
-    if n_cols:
-        index, start = np.concatenate(index), np.append(0, np.cumsum(np.concatenate(counts)))
-        a_eq = (n_rows, start.astype(np.int32), index, np.ones(len(index)))
-        x, _ = _solve(np.concatenate(c), a_eq, np.concatenate(b_eq), "transport")
+            n_cells += block.size
+
+    def columns(picked):
+        """``(c, start, index, value)`` of each block's picked cells; their ids go to ``order``."""
+        cells = np.concatenate(picked)
+        n1, n2, row, lo = (np.repeat(v, [len(p) for p in picked]) for v in np.transpose(layout))
+        start, index = _transport_csc(cells, n1, n2)
+        index += np.repeat(row, np.diff(start))
+        order.append(lo + cells)
+        return costs[order[-1]], start, index, np.ones(len(index))
+
+    def price(row_dual):
+        """Columns of the excluded cells with a negative reduced cost, or None if there are none."""
+        picked = []
+        for block, row, _, seen in blocks:
+            n1, n2 = block.shape
+            u, v = row_dual[row : row + n1], np.append(row_dual[row + n1 : row + n1 + n2 - 1], 0)
+            new = ~seen & (block - u[:, None] - v < 0)
+            seen |= new
+            picked.append(np.flatnonzero(new))
+        return columns(picked) if any(len(cells) for cells in picked) else None
+
+    x = np.zeros(n_cells)
+    if blocks:
+        layout = [(*block.shape, row, lo) for block, row, lo, _ in blocks]
+        costs = np.concatenate([block.ravel() for block, *_ in blocks])
+        c, *a_eq = columns([np.flatnonzero(seen) for *_, seen in blocks])
+        full = all(seen.all() for *_, seen in blocks)
+        b_eq = np.concatenate(b_eq)
+        found, _, _ = _solve(c, (n_rows, *a_eq), b_eq, "transport", None if full else price)
+        x[np.concatenate(order)] = found
     out = []
     for (a, b, cost), (i, j, lo) in zip(problems, supports):
         plan = np.zeros(cost.shape)
@@ -262,9 +363,11 @@ def _transport_lps(problems):
 def w1_distance(mu, nu, cost):
     """Optimal-transport value between two finite distributions.
 
-    The one-problem case of the stacked transport solver: one HiGHS solve
-    of the transport LP, value ``c @ x``, plan checked against both
-    marginals to 1e-9.  A floating-point optimum, feasible to 1e-7.
+    The one-problem case of :func:`_transport_lps`: when both supports
+    exceed ``_SHORTLIST`` points, HiGHS starts on a cost shortlist and
+    prices the other cells in from its row duals, to the full LP's optimum.
+    Value ``c @ x``, plan checked against both marginals to 1e-9.  A
+    floating-point optimum, feasible to 1e-7.
     """
     a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]
@@ -405,7 +508,7 @@ def rho_bar_markov_upper(mu, nu, cost):
     keys, first, row = np.unique(keys, return_index=True, return_inverse=True)
     kind, f = np.divmod(first, len(flow))
     coef = np.stack([mu.kernel[u, up], nu.kernel[v, vp], np.ones(len(flow))])[kind, f]
-    start_m, row_m = _transport_csc(n1, n2)
+    start_m, row_m = _transport_csc(np.arange(npairs), n1, n2)
     col_m = np.repeat(np.arange(npairs), np.diff(start_m))
     rows = np.concatenate([row, np.arange(len(keys)), len(keys) + row_m])
     cols = np.concatenate([np.tile(flow, 3), np.where(kind == 2, dst[f], src[f]), col_m])
@@ -415,7 +518,7 @@ def rho_bar_markov_upper(mu, nu, cost):
     csc = (start.astype(np.int32), rows[order].astype(np.int32), data[order])
     b_eq = np.concatenate([np.zeros(len(keys)), mu.stationary, nu.stationary[:-1]])
     c = np.concatenate([cost.ravel(), np.zeros(len(flow))])
-    x, value = _solve(c, (len(keys) + n1 + n2 - 1, *csc), b_eq, "coupling")
+    x, value, _ = _solve(c, (len(keys) + n1 + n2 - 1, *csc), b_eq, "coupling")
     lower = w1_distance(mu.stationary, nu.stationary, cost).value
     return CouplingResult(float(value), x[:npairs].reshape(n1, n2), lower_bound=lower)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -221,6 +222,35 @@ class TestDistances:
         assert len(lines) == 2 and lines[1].startswith("0,1,")  # the two kept orbits
         assert main(args + ["--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_pair_cap_exits_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # at the defaults, 10,000 orbits: 5e7 pairs, minutes of kernel work and GBs of CSV
+        path = tmp_path / "sys31.json"
+        assert main(["generate", "circle-doubling", "--n", "31", "--out", str(path)]) == 0
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli, "pi_bar_matrices", lambda *args: calls.append(args))
+        started = time.perf_counter()
+        assert main(["distances", "--system", str(path), "--delta", "0.2"]) == 1
+        assert time.perf_counter() - started < 10.0
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err == (
+            "error: 10000 orbits give 49995000 pairs, over the cap of 1000000; "
+            "lower --cap or --period-cap\n"
+        )
+        csv_path = tmp_path / "d.csv"
+        args = ["distances", "--system", str(path), "--delta", "0.2", "--out", str(csv_path)]
+        assert main(args) == 1 and not csv_path.exists()
+
+    def test_pair_cap_is_inclusive(self, grid15_file, tmp_path, monkeypatch):
+        args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "3"]
+        assert main(args + ["--cap", "5", "--out", str(tmp_path / "d.csv")]) == 0
+        monkeypatch.setattr(cli, "_MAX_PAIRS", 10)  # 5 orbits: exactly 10 pairs
+        assert main(args + ["--cap", "5", "--out", str(tmp_path / "at.csv")]) == 0
+        assert (tmp_path / "at.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        assert main(args + ["--cap", "6", "--out", str(tmp_path / "over.csv")]) == 1
+        assert not (tmp_path / "over.csv").exists()
 
 
 class TestAnalyze:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import block_diag, coo_matrix, csc_matrix
+from scipy.sparse import block_diag, coo_matrix, csc_matrix, vstack
 
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
@@ -234,9 +234,9 @@ def counting_solve(monkeypatch):
     calls = []
     real = measures._solve
 
-    def recording(c, a_eq, b_eq, what):
+    def recording(c, a_eq, b_eq, what, price=None):
         calls.append((c, a_eq, b_eq))
-        return real(c, a_eq, b_eq, what)
+        return real(c, a_eq, b_eq, what, price)
 
     monkeypatch.setattr(measures, "_solve", recording)
     return calls
@@ -475,14 +475,25 @@ class TestTransportCSC:
 
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 6), (6, 1), (2, 2), (5, 3)])
     def test_matches_tocsc(self, n1, n2):
-        start, index = measures._transport_csc(n1, n2)
+        start, index = measures._transport_csc(np.arange(n1 * n2), n1, n2)
         assert start.dtype == index.dtype == np.int32
         got = csc_matrix((np.ones(len(index)), index, start), shape=(n1 + n2 - 1, n1 * n2))
         assert_same_csc(got, loop_transport_pattern(n1, n2).tocsc())
 
     def test_one_column_has_no_column_sum_rows(self):
-        start, index = measures._transport_csc(4, 1)
+        start, index = measures._transport_csc(np.arange(4), 4, 1)
         assert np.array_equal(start, np.arange(5)) and np.array_equal(index, np.arange(4))
+
+    @pytest.mark.parametrize("n1, n2", [(1, 6), (6, 1), (5, 3), (7, 9)])
+    def test_partial_cell_list_is_those_columns(self, n1, n2):
+        # any subset of cells, last-column cells included, in any order
+        rng = np.random.default_rng(n1 * n2)
+        cells = rng.permutation(n1 * n2)[: max(1, n1 * n2 // 2)]
+        cells[0] = n1 * n2 - 1
+        start, index = measures._transport_csc(cells, n1, n2)
+        assert start.dtype == index.dtype == np.int32
+        got = csc_matrix((np.ones(len(index)), index, start), shape=(n1 + n2 - 1, len(cells)))
+        assert_same_csc(got, loop_transport_pattern(n1, n2).tocsc()[:, cells])
 
     def test_stacked_blocks_on_their_supports(self, monkeypatch):
         # zero-mass rows and columns cut, the massless block skipped, a 1 x n block
@@ -499,6 +510,225 @@ class TestTransportCSC:
         ref_b = [np.concatenate([a[i], b[j[:-1]]]) for (a, b, _), i, j in kept]
         assert np.array_equal(c, np.concatenate(ref_c))
         assert np.array_equal(b_eq, np.concatenate(ref_b))
+
+
+def recording_solves(monkeypatch):
+    """Route ``measures._solve`` through a recorder of each solve and its pricing rounds.
+
+    Each solve is a dict: the first LP's ``c`` and ``a_eq``, ``rounds`` (what
+    each ``price`` call returned: new ``(c, start, index, value)`` columns, or
+    None at the last), the row duals of each call and the final ``row_dual``.
+    """
+    solves = []
+    real = measures._solve
+
+    def recording(c, a_eq, b_eq, what, price=None):
+        solve = {"c": c, "a_eq": a_eq, "rounds": [], "duals": []}
+        solves.append(solve)
+
+        def priced(row_dual):
+            solve["duals"].append(row_dual)
+            solve["rounds"].append(price(row_dual))
+            return solve["rounds"][-1]
+
+        x, objective, solve["row_dual"] = real(c, a_eq, b_eq, what, priced if price else None)
+        return x, objective, solve["row_dual"]
+
+    monkeypatch.setattr(measures, "_solve", recording)
+    return solves
+
+
+def block_cells(start, index, shapes):
+    """(block, i, j) of each recorded column of a stacked transport LP of blocks with ``shapes``.
+
+    A column holds its row-sum row and, unless j is the block's last column,
+    its column-sum row; the row ranges of the blocks name the block.
+    """
+    row_lo = np.cumsum([0] + [n1 + n2 - 1 for n1, n2 in shapes])
+    cells = []
+    for k in range(len(start) - 1):
+        rows = index[start[k] : start[k + 1]]
+        block = int(np.searchsorted(row_lo, rows[0], side="right")) - 1
+        n1, n2 = shapes[block]
+        i = rows[0] - row_lo[block]
+        j = rows[1] - row_lo[block] - n1 if len(rows) == 2 else n2 - 1
+        cells.append((block, int(i), int(j)))
+    return cells
+
+
+def lp_cells(solve, costs, y=None):
+    """Per block: the mask of cells that entered the recorded LP, and every cell's reduced cost.
+
+    Reduced costs are taken at the row duals ``y``, by default the final ones.
+    """
+    shapes = [cost.shape for cost in costs]
+    columns = [solve["a_eq"][1:3]] + [new[1:3] for new in solve["rounds"][:-1]]
+    seen = [np.zeros(shape, dtype=bool) for shape in shapes]
+    for start, index in columns:
+        for block, i, j in block_cells(start, index, shapes):
+            seen[block][i, j] = True
+    y, row, reduced = solve["row_dual"] if y is None else y, 0, []
+    for cost in costs:
+        n1, n2 = cost.shape
+        u, v = y[row : row + n1], np.append(y[row + n1 : row + n1 + n2 - 1], 0.0)
+        reduced.append(cost - u[:, None] - v[None, :])
+        row += n1 + n2 - 1
+    assert row == len(y)
+    return seen, reduced
+
+
+def concentrated(rng, n):
+    """Marginal with most of its mass on a few points, which need more than their shortlists."""
+    w = rng.random(n) ** 16 + 0.001
+    return w / w.sum()
+
+
+def assert_full_optimum(res, a, b, cost):
+    assert res.value == pytest.approx(dense_transport_value(a, b, cost), abs=1e-9)
+    assert np.max(np.abs(res.plan.sum(axis=1) - a)) <= measures.MARGINAL_TOL
+    assert np.max(np.abs(res.plan.sum(axis=0) - b)) <= measures.MARGINAL_TOL
+
+
+class TestShortlist:
+    """Blocks larger than ``_SHORTLIST`` start on a cell shortlist; the rest is priced in."""
+
+    def test_uniform_costs_match_the_full_lp(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        solves = recording_solves(monkeypatch)
+        adding = []
+        for n1, n2 in ((40, 50), (73, 91), (120, 150)):
+            a, b = concentrated(rng, n1), rng.dirichlet(np.ones(n2))
+            cost = rng.random((n1, n2))
+            res = w1_distance(a, b, cost)
+            assert_full_optimum(res, a, b, cost)
+            solve = solves[-1]
+            assert len(solve["c"]) < n1 * n2 and solve["rounds"][-1] is None
+            adding.append(len(solve["rounds"]) - 1)
+        assert len(solves) == 3 and max(adding) >= 2  # one block is priced twice
+
+    def test_northwest_corner_keeps_the_lp_feasible(self, monkeypatch):
+        # rows and columns 16 .. 23 are 1 dearer, so every row's and every column's
+        # 16 cheapest cells avoid the block r, s >= 16; those rows hold 0.9 of the
+        # mass and those columns too, but the rest of the columns only 0.1
+        n, k = 24, measures._SHORTLIST
+        rng = np.random.default_rng(5)
+        far = np.arange(n) >= k
+        cost = far[:, None] * 1.0 + far[None, :] + 0.5 * rng.random((n, n))
+        a = b = np.where(far, 0.9 / (n - k), 0.1 / k)
+        assert np.all(np.argsort(cost, axis=1)[:, :k] < k)
+        assert np.all(np.argsort(cost, axis=0)[:k] < k)
+        rows, cols = np.nonzero(~(far[:, None] & far[None, :]))  # the row and column shortlists
+        ones, ids = np.ones(len(rows)), np.arange(len(rows))
+        a_eq = vstack([coo_matrix((ones, (r, ids)), shape=(n, len(ids))) for r in (rows, cols)])
+        b_eq = np.concatenate([a, b])
+        alone = linprog(cost[rows, cols], A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert alone.status == 2  # infeasible on the row and column shortlists alone
+        solves = recording_solves(monkeypatch)
+        res = w1_distance(a, b, cost)
+        assert_full_optimum(res, a, b, cost)
+        (solve,) = solves
+        _, start, index, _ = solve["a_eq"]
+        first = {(i, j) for _, i, j in block_cells(start, index, [(n, n)])}
+        corner = set(zip(*(v.tolist() for v in measures._northwest_corner(a, b))))
+        assert len(corner) == 2 * n - 1 and corner <= first
+        assert not corner <= {(int(i), int(j)) for i, j in zip(rows, cols)}
+
+    def test_stacked_blocks_gain_columns_in_different_rounds(self, monkeypatch):
+        # added columns go into the block whose rows they hold; a column put in the
+        # wrong block shows only as a marginal miss
+        rng = np.random.default_rng(6)
+        problems = []
+        for n1, n2 in ((40, 50), (5, 7), (73, 91), (30, 20)):
+            a, b = concentrated(rng, n1), rng.dirichlet(np.ones(n2))
+            problems.append((a, b, rng.random((n1, n2))))
+        solves = recording_solves(monkeypatch)
+        results = measures._transport_lps(problems)
+        (solve,) = solves
+        shapes = [cost.shape for *_, cost in problems]
+        gained = [
+            {block for block, _, _ in block_cells(start, index, shapes)}
+            for _, start, index, _ in solve["rounds"][:-1]
+        ]
+        assert gained[0] == {0, 2} and {2} in gained  # block 2 gains where block 0 does not
+        assert 1 not in set().union(*gained)  # the 5 x 7 block enters whole
+        for (a, b, cost), res in zip(problems, results):
+            assert_full_optimum(res, a, b, cost)
+            (single,) = measures._transport_lps([(a, b, cost)])
+            assert res.value == pytest.approx(single.value, abs=1e-9)
+
+    def test_final_duals_price_every_excluded_cell_nonnegative(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        problems = []
+        for n1, n2 in ((40, 50), (73, 91), (18, 40)):
+            a, b = concentrated(rng, n1), rng.dirichlet(np.ones(n2))
+            problems.append((a, b, rng.random((n1, n2))))
+        solves = recording_solves(monkeypatch)
+        measures._transport_lps(problems)
+        (solve,) = solves
+        for mask, reduced in zip(*lp_cells(solve, [cost for *_, cost in problems])):
+            assert np.any(~mask)
+            assert reduced[~mask].min() >= 0.0  # the stop rule, with no tolerance
+            assert reduced[mask].min() >= -1e-7  # HiGHS's dual feasibility on the LP's own cells
+
+    def test_a_cell_priced_just_below_zero_is_added(self, monkeypatch):
+        # one excluded cell made 1e-10 cheaper than its final duals price it at
+        # 0; it stays off the shortlist and prices at >= 0 in every earlier
+        # round, so every LP up to the last is the same
+        rng = np.random.default_rng(5)
+        a, b = concentrated(rng, 40), rng.dirichlet(np.ones(50))
+        cost = rng.random((40, 50))
+        solves = recording_solves(monkeypatch)
+        w1_distance(a, b, cost)
+        (mask,), (reduced,) = lp_cells(solves[0], [cost])
+        lowered = cost - reduced - 1e-10
+        k = measures._SHORTLIST
+        pick = ~mask & (lowered > np.sort(cost, axis=1)[:, k - 1 : k])
+        pick &= lowered > np.sort(cost, axis=0)[k - 1]
+        for y in solves[0]["duals"][:-1]:
+            pick &= lp_cells(solves[0], [cost], y)[1][0] >= reduced + 1e-10
+        i, j = np.argwhere(pick)[0]
+        cheaper = cost.copy()
+        cheaper[i, j] = lowered[i, j]
+        res = w1_distance(a, b, cheaper)
+        assert_full_optimum(res, a, b, cheaper)
+        first, second = solves
+        assert len(second["rounds"]) == len(first["rounds"]) + 1
+        _, start, index, _ = second["rounds"][-2]
+        assert block_cells(start, index, [cost.shape]) == [(0, i, j)]
+
+    def test_small_blocks_enter_whole(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        solves = recording_solves(monkeypatch)
+        for n1, n2 in ((16, 200), (200, 16), (17, 17)):
+            a, b = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+            w1_distance(a, b, rng.random((n1, n2)))
+        assert [len(s["c"]) for s in solves[:2]] == [3200, 3200] and len(solves[2]["c"]) < 17 * 17
+        assert [s["rounds"] for s in solves[:2]] == [[], []]  # nothing to price
+
+
+class TestHighsBindings:
+    """The scipy HiGHS bindings that ``_solve`` uses beyond ``passModel`` and ``run``."""
+
+    def test_add_cols_and_one_row_dual_per_row(self):
+        highs = measures._highs._Highs
+        assert hasattr(highs, "addCols"), "scipy's HiGHS bindings lack _Highs.addCols"
+        # 2 x 2 transport on cells (0, 1), (1, 0), (1, 1); cell (0, 0) is priced in
+        start, index = measures._transport_csc(np.array([1, 2, 3]), 2, 2)
+        cost = np.array([0.0, 1.0, 1.0, 0.0])
+        duals = []
+
+        def price(row_dual):
+            duals.append(row_dual)
+            if len(duals) > 1:
+                return None
+            new_start, new_index = measures._transport_csc(np.array([0]), 2, 2)
+            return cost[:1], new_start, new_index, np.ones(len(new_index))
+
+        a_eq = (3, start, index, np.ones(len(index)))
+        x, value, row_dual = measures._solve(cost[1:], a_eq, np.full(3, 0.5), "test", price)
+        assert len(duals) == 2 and all(len(y) == 3 for y in duals), "getSolution().row_dual length"
+        assert row_dual is duals[-1]
+        assert np.array_equal(x, [0.0, 0.0, 0.5, 0.5]) and value == 0.0
 
 
 class TestRhoBarPeriodic:
@@ -829,7 +1059,7 @@ class TestSolve:
         lps = self.library_lps(monkeypatch)
         assert len(lps) >= 20
         for c, a_eq, b_eq in lps:
-            x, value = solve(c, a_eq, b_eq, "test")
+            x, value, _ = solve(c, a_eq, b_eq, "test")
             matrix = recorded_matrix(c, a_eq)
             assert matrix.has_canonical_format  # sorted row indices, no duplicates
             ref = linprog(

@@ -403,9 +403,9 @@ class TestDensityTableLP:
         calls = []
         real = measures._solve
 
-        def counting(*args):
+        def counting(c, a_eq, b_eq, what, price=None):
             calls.append(1)
-            return real(*args)
+            return real(c, a_eq, b_eq, what, price)
 
         monkeypatch.setattr(measures, "_solve", counting)
         for scales in ([8], [8, 32, 128], [8, 16, 32, 64, 128, 256]):
