@@ -11,7 +11,6 @@ from .core import (  # noqa: F401
     load_system,
     normalize_metric,
     pi_distance,
-    product_system,
     surjective_core,
     window_check,
 )
@@ -19,7 +18,6 @@ from .chain import (  # noqa: F401
     ChainGraph,
     MixingCertificate,
     build_chain_graph,
-    chain_family,
     finite_chain,
     is_delta_chain,
     mixing_certificate,
@@ -29,7 +27,6 @@ from .shadowing import (  # noqa: F401
     PseudoOrbitReport,
     besicovitch_pi,
     besicovitch_rho,
-    best_average_tracer,
     equivalence_bound_check,
     hat_rho,
     validate_pseudo_orbit,

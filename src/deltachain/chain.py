@@ -189,23 +189,10 @@ def _glue(g, blocks, lengths):
     return word
 
 
-def chain_family(sys, n_max):
-    """Chain graphs at delta = 1, 1/2, ..., 1/n_max (decreasing, nested)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [build_chain_graph(sys, 1.0 / n) for n in range(1, n_max + 1)]
-
-
 def is_delta_chain(traj, g):
     """True iff every consecutive pair of the trajectory is an edge of g."""
     ids = np.asarray(traj.entries)
     return bool(g.adjacency[ids[:-1], ids[1:]].all())
-
-
-def critical_deltas(sys):
-    """The finitely many thresholds at which the chain graph can change."""
-    image_rows = sys.dist[np.asarray(sys.map_image)]
-    return np.unique(image_rows).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys as _sys
 from contextlib import nullcontext
@@ -179,6 +180,7 @@ def _cmd_analyze(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="deltachain")
     sub = parser.add_subparsers(dest="command", required=True)

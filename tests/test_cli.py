@@ -297,6 +297,31 @@ class TestAnalyze:
         assert len(doc["rows"]) == 2
 
 
+class TestParserOncePerProcess:
+    def test_other_commands_leave_analyze_unchanged(self, grid15_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        target = [{"word": [0], "weight": 0.5}, {"word": [5, 10], "weight": 0.5}]
+        cfg.write_text(json.dumps({"system": {"builtin": "circle-doubling", "n": 15}, "n_max": 3,
+                                   "period_cap": 2, "target": target, "block_scales": [8, 16]}))
+
+        names = ["density.csv", "distances.csv", "plot_data.json", "report.json"]
+
+        def analyze(out):
+            """The lines of each file written, but the report's ``generated_at``."""
+            assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+            assert sorted(path.name for path in out.iterdir()) == names
+            lines = [(out / name).read_text().splitlines() for name in names]
+            return [[x for x in text if '"generated_at"' not in x] for text in lines]
+
+        cli.build_parser.cache_clear()  # the next call builds the parser, as in a new process
+        separate = analyze(tmp_path / "separate")
+        system = ["--system", grid15_file, "--delta", "0.2"]
+        assert main(["chain-graph", *system, "--emit", "dot"]) == 0
+        assert main(["distances", *system, "--period-cap", "2"]) == 0
+        assert analyze(tmp_path / "after") == separate
+        assert cli.build_parser.cache_info().misses == 1
+
+
 class TestInputValidation:
     """Each malformed input is a schema error (exit 2) where it enters."""
 

@@ -9,12 +9,11 @@ from deltachain.core import (
     FiniteTrajectory,
     normalize_metric,
     pi_distance,
-    product_system,
     surjective_core,
     system_from_dict,
     window_check,
 )
-from deltachain.errors import InsufficientWindow, NotAMetric, SchemaError, SizeOverflow
+from deltachain.errors import InsufficientWindow, NotAMetric, SchemaError
 
 
 def two_point_system():
@@ -186,45 +185,18 @@ class TestWindowCheck:
                 if exact:
                     assert value < eps
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, float("nan")])
+    def test_eps_outside_unit_interval(self, eps):
+        x = FiniteTrajectory([0] * 9, origin=4)
+        with pytest.raises(SchemaError) as err:
+            window_check(circle_doubling(4), eps, x, x)
+        assert err.value.pointer == "/eps"
 
-class TestProductSystem:
-    def test_two_point_factors(self):
-        a = two_point_system()
-        b = two_point_system()
-        prod = product_system(a, b)
-        assert prod.n == 4
-        assert prod.rho(0, 3) == 1.0  # (0,0) vs (1,1) under the max metric
-
-    def test_singleton_factor_is_identity(self):
-        single = FiniteMetricSystem(("*",), np.zeros((1, 1)), (0,))
-        b = circle_doubling(4)
-        prod = product_system(single, b)
-        assert np.allclose(prod.dist, b.dist)
-        assert prod.map_image == b.map_image
-
-    def test_componentwise_map(self):
-        a = circle_doubling(4)
-        b = two_point_system()
-        prod = product_system(a, b)
-        # (1/4, p) maps to (1/2, q): id 1*2+0 -> 2*2+1
-        assert prod.map_image[1 * 2 + 0] == 2 * 2 + 1
-
-    def test_max_metric_exhaustive(self):
-        a = circle_doubling(4)
-        b = two_point_system()
-        prod = product_system(a, b)
-        for u in range(a.n):
-            for v in range(b.n):
-                for u2 in range(a.n):
-                    for v2 in range(b.n):
-                        assert prod.rho(u * 2 + v, u2 * 2 + v2) == pytest.approx(
-                            max(a.rho(u, u2), b.rho(v, v2))
-                        )
-
-    def test_size_cap(self):
-        a = circle_doubling(4)
-        with pytest.raises(SizeOverflow):
-            product_system(a, a, cap=10)
+    def test_eps_one_is_the_centre_coordinate(self):
+        sys = circle_doubling(4)
+        x = FiniteTrajectory([0, 0, 0], origin=1)
+        assert window_check(sys, 1.0, x, FiniteTrajectory([2, 0, 2], origin=1))
+        assert not window_check(sys, 0.5, x, FiniteTrajectory([0, 2, 0], origin=1))
 
 
 class TestSurjectiveCore:

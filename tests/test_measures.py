@@ -339,6 +339,62 @@ class TestTransportLPs:
             assert got == pytest.approx(want, abs=1e-9)
 
 
+def dropped_row_transport_value(a, b, cost):
+    """Independent transport LP on the rows HiGHS gets: the last column's sum is implied."""
+    n1, n2 = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(n1), np.ones(n2)), np.kron(np.ones(n1), np.eye(n2))[:-1]])
+    b_eq = np.concatenate([a, b[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs-ds", options={"presolve": False})
+    assert res.success
+    return float(res.fun)
+
+
+class TestPlanRepair:
+    """A HiGHS plan off its marginals by more than ``MARGINAL_TOL`` is rounded onto them."""
+
+    def test_skewed_masses_are_repaired_not_rejected(self, monkeypatch):
+        # Dirichlet(0.1) masses: HiGHS's plans miss a marginal by up to its 1e-7
+        # feasibility tolerance, and these problems raised Infeasible before the repair
+        repaired, real = [], measures._round_to_marginals
+
+        def recording(*args):
+            repaired.append(real(*args))
+            return repaired[-1]
+
+        monkeypatch.setattr(measures, "_round_to_marginals", recording)
+        for shape in ((40, 50), (8, 10), (16, 16)):
+            count = len(repaired)
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                a, b = (rng.dirichlet(np.full(n, 0.1)) for n in shape)
+                cost = rng.random(shape)
+                res = w1_distance(a, b, cost)
+                assert abs(res.value - dropped_row_transport_value(a, b, cost)) <= 1e-7
+                assert res.value == float(cost.ravel() @ res.plan.ravel())
+                gaps = np.concatenate([res.plan.sum(axis=1) - a, res.plan.sum(axis=0) - b])
+                if repaired and repaired[-1] is res.plan:
+                    assert res.plan.min() >= 0.0 and np.abs(gaps).max() <= 1e-12
+                else:
+                    assert np.abs(gaps).max() <= measures.MARGINAL_TOL
+            assert len(repaired) > count
+
+    def test_plan_within_tolerance_is_left_alone(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(measures, "_round_to_marginals", lambda *args: calls.append(args))
+        rng = np.random.default_rng(4)
+        a, b, cost = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(6)), rng.random((5, 6))
+        res = w1_distance(a, b, cost)
+        assert calls == [] and res.value == float(cost.ravel() @ res.plan.ravel())
+
+    def test_rounding_meets_equal_marginals(self):
+        a, b = np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.4])
+        plan = np.array([[0.3, 0.25], [0.2, -1e-8], [0.05, 0.1]])  # rows 0.55, 0.2, 0.15
+        got = measures._round_to_marginals(plan, a, b)
+        assert got.min() >= 0.0
+        assert np.abs(got.sum(axis=1) - a).max() <= 1e-15
+        assert np.abs(got.sum(axis=0) - b).max() <= 1e-15
+
+
 def dense_weakstar_value(cyl_a, cyl_b, depth, sys):
     """Independent weak* proxy: one dense LP per depth over the union of both supports."""
     total = 0.0

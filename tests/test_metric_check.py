@@ -21,7 +21,6 @@ from deltachain.core import (
     FiniteMetricSystem,
     _check_metric,
     normalize_metric,
-    product_system,
     surjective_core,
     system_from_dict,
 )
@@ -318,13 +317,6 @@ def check_calls(monkeypatch):
 
 
 class TestDerivedSystemsAreNotRechecked:
-    def test_product_system(self, check_calls):
-        a, b = circle_doubling(6), circle_rotation(5, 2)
-        check_calls.clear()
-        prod = product_system(a, b)
-        assert check_calls == []
-        assert prod.n == 30 and outcome(loop_check_metric, prod.dist) is None
-
     def test_surjective_core(self, check_calls):
         parent = circle_doubling(12)
         check_calls.clear()
@@ -354,12 +346,12 @@ class TestDerivedSystemsAreNotRechecked:
             FiniteMetricSystem(("a", "b"), 2.0 * (1.0 - np.eye(2)), (1, 0))
 
     def test_dist_is_a_read_only_copy(self):
-        raw = np.array([[0.0, 0.5], [0.5, 0.0]])
-        system, _ = system_from_dict({"points": ["a", "b"], "map": [1, 0], "metric": {"matrix": raw.tolist()}})
-        prod = product_system(system, system)
-        for s in (system, prod, surjective_core(prod)[1], circle_doubling(4), random_metric(4)):
+        raw = np.array([[0.0, 0.5, 0.3], [0.5, 0.0, 0.4], [0.3, 0.4, 0.0]])
+        system, _ = system_from_dict(dict(spec(matrix=raw.tolist()), map=[1, 0, 0]))
+        sub = surjective_core(system)[1]
+        for s in (system, sub, circle_doubling(4), random_metric(4)):
             assert not s.dist.flags.writeable
-        assert not np.shares_memory(prod.dist, system.dist)
+        assert not np.shares_memory(sub.dist, system.dist)
 
     def test_labels_and_map_still_checked(self):
         with pytest.raises(SchemaError) as err:
@@ -392,10 +384,9 @@ class TestCheckedOnce:
         assert again.dist is system.dist
 
     def test_frozen_arrays_cannot_be_made_writable(self):
-        raw = np.array([[0.0, 0.5], [0.5, 0.0]])
-        system, _ = system_from_dict({"points": ["a", "b"], "map": [1, 0], "metric": {"matrix": raw.tolist()}})
-        prod = product_system(system, system)
-        systems = (system, prod, surjective_core(prod)[1], circle_doubling(4), circle_rotation(4), random_metric(4))
+        raw = np.array([[0.0, 0.5, 0.3], [0.5, 0.0, 0.4], [0.3, 0.4, 0.0]])
+        system, _ = system_from_dict(dict(spec(matrix=raw.tolist()), map=[1, 0, 0]))
+        systems = (system, surjective_core(system)[1], circle_doubling(4), circle_rotation(4), random_metric(4))
         for s in systems:
             for array in (s.dist, s.dist.base):
                 with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from deltachain.measures import (
     pi_bar_periodic,
     rho_bar_periodic,
 )
-from deltachain.shadowing import besicovitch_pi, pi_exceeds
+from deltachain.shadowing import besicovitch_pi
 from deltachain.specification import (
     PeriodicChain,
     SpacedSpecification,
@@ -246,7 +246,8 @@ class TestWindowBoundaries:
             assert got == loop_window_check(sys, eps, x, y)
             outcomes.add(got)
             for k in range(-2, 3):
-                assert pi_exceeds(sys, x, y, k, eps) == loop_pi_exceeds(sys, x, y, k, eps)
+                within = window_check(sys, eps, x.shifted(k), y.shifted(k))
+                assert within is not loop_pi_exceeds(sys, x, y, k, eps)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("eps, W", [(1.0 / 3, 2), (1.0 / 4, 3), (1.0 / 7, 6)])
@@ -262,7 +263,6 @@ class TestWindowBoundaries:
                 y = FiniteTrajectory(entries, origin=W + 1)
                 expect = binds and offset == W
                 assert window_check(sys, eps, x, y) is (not expect)
-                assert pi_exceeds(sys, x, y, 0, eps) is expect
 
 
 class TestVerifyTrace:

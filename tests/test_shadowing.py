@@ -5,15 +5,13 @@ import pytest
 
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
-from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
-from deltachain.errors import BadHorizon, InsufficientWindow, SchemaError
+from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, window_check
+from deltachain.errors import BadHorizon, InsufficientWindow
 from deltachain.shadowing import (
     besicovitch_pi,
     besicovitch_rho,
-    best_average_tracer,
     equivalence_bound_check,
     hat_rho,
-    pi_exceeds,
     validate_pseudo_orbit,
 )
 
@@ -289,7 +287,7 @@ class TestEquivalenceBound:
             x = FiniteTrajectory(rng.integers(0, 9, span).tolist(), origin=n_d)
             y = FiniteTrajectory(rng.integers(0, 9, span).tolist(), origin=n_d)
             ok, counts = equivalence_bound_check(x, y, sys, N, delta)
-            direct = sum(1 for k in range(N) if pi_exceeds(sys, x, y, k, delta))
+            direct = sum(1 for k in range(N) if loop_pi_exceeds(sys, x, y, k, delta))
             assert counts["pi_at_delta"] == direct
             assert ok
 
@@ -330,50 +328,6 @@ class TestEquivalenceBound:
             equivalence_bound_check(x, x, sys, 5, 0.0)
         with pytest.raises(InsufficientWindow):
             equivalence_bound_check(x, x, sys, 5, 0.1)
-
-
-class TestBestAverageTracer:
-    def test_true_orbit_traced_exactly(self):
-        sys = circle_doubling(15)
-        orbit = FiniteTrajectory(sys.orbit(4, 12), origin=0)
-        z, avg = best_average_tracer(orbit, sys, 12)
-        assert z == 4
-        assert avg == 0.0
-
-    def test_matches_exhaustive_scan(self):
-        sys = random_metric(8, seed=13)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            p = FiniteTrajectory(rng.integers(0, 8, 10).tolist(), origin=0)
-            z, avg = best_average_tracer(p, sys, 10)
-            best = None
-            for cand in range(8):
-                total = 0.0
-                cur = cand
-                for j in range(10):
-                    total += sys.rho(cur, p.at(j))
-                    cur = sys.map_image[cur]
-                if best is None or total / 10 < best[1] - 1e-15:
-                    best = (cand, total / 10)
-            assert z == best[0]
-            assert avg == pytest.approx(best[1])
-
-
-class TestPiExceedsLevel:
-    @pytest.mark.parametrize("level", [0.0, -0.5, 1.5, float("nan")])
-    def test_level_outside_unit_interval(self, level):
-        sys = circle_doubling(4)
-        x = FiniteTrajectory([0] * 9, origin=4)
-        with pytest.raises(SchemaError) as err:
-            pi_exceeds(sys, x, x, 0, level)
-        assert err.value.pointer == "/level"
-
-    def test_level_one_is_the_centre_coordinate(self):
-        sys = circle_doubling(4)
-        x = FiniteTrajectory([0, 0, 0], origin=1)
-        y = FiniteTrajectory([2, 0, 2], origin=1)
-        assert pi_exceeds(sys, x, y, 0, 1.0) is False
-        assert pi_exceeds(sys, x, FiniteTrajectory([0, 2, 0], origin=1), 0, 0.5) is True
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +422,8 @@ class TestFoldedKernelsAgainstLoops:
             W = int(1.0 / lv - 1.0 + TOL)
             x, y = near_pair(rng, sys, -W - 2, W + 2)
             for k in range(-2, 3):
-                assert pi_exceeds(sys, x, y, k, lv) is loop_pi_exceeds(sys, x, y, k, lv)
+                passed = window_check(sys, lv, x.shifted(k), y.shifted(k))
+                assert passed is not loop_pi_exceeds(sys, x, y, k, lv)
 
     @pytest.mark.parametrize("delta", [1.0, 0.5, 1.0 / 3, 1.0 / 7, None])
     def test_equivalence_counts_equal_the_loop(self, delta):
