@@ -12,7 +12,6 @@ from .core import (  # noqa: F401
     normalize_metric,
     pi_distance,
     surjective_core,
-    window_check,
 )
 from .chain import (  # noqa: F401
     ChainGraph,

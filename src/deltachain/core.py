@@ -297,18 +297,6 @@ def _windows_within(sys, eps, x, y, lo, hi):
     return (sys.dist[_windows(x, lo, hi, W), _windows(y, lo, hi, W)] < eps - TOL).all(axis=-1)
 
 
-def window_check(sys, eps, x, y):
-    """Certify pi(x, y) < eps from the finitely many binding coordinates.
-
-    Checks ``rho(x_k, y_k) < eps`` for all k with ``|k| + 1 <= max(1, 1/eps)``;
-    coordinates outside that window are dominated by 1/(|k|+1) < eps.  Both
-    trajectories must cover that window.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise SchemaError("/eps", "eps must lie in (0, 1]")
-    return bool(_windows_within(sys, eps, x, y, 0, 0)[0])
-
-
 def surjective_core(sys):
     """Eventual image of the map: the largest subset on which it is a bijection.
 

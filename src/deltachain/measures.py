@@ -48,7 +48,7 @@ import numpy as np
 import scipy.optimize._highspy._core as _highs
 
 from .chain import _glue
-from .core import TOL, _truncated_max
+from .core import TOL
 from .errors import (
     DegenerateWeights,
     DepthMismatch,
@@ -60,7 +60,7 @@ from .errors import (
 )
 
 MARGINAL_TOL = 1e-9
-_GATHER_FLOATS = 1 << 21  # bound on one pi_bar_matrices temporary (16 MB)
+_GATHER_FLOATS = 1 << 21  # floats one _phase_scan chunk may hold at once, ids included (16 MB)
 _FRONTIER_CELLS = 1 << 18  # bound on one simple_cycle_words block (2 MB of ids)
 _SHORTLIST = 16  # cheapest cells per row and per column a large transport block starts on
 _PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
@@ -403,53 +403,83 @@ def _by_period(orbits):
     return {p: tuple(np.array(col) for col in zip(*group)) for p, group in groups.items()}
 
 
-def _phase_scan(set_a, set_b, radius, per_shift):
+def _phase_scan(set_a, set_b, cost, radius, tail):
     """Phase-optimal averages of per-shift terms between every pair of orbits.
 
     Ergodic joinings of two periodic-orbit measures are indexed by a phase
-    modulo the gcd of the periods, so each pair's value is its best
-    phase-aligned average.  Pairs are grouped by period (p, q).  Each group
-    gathers the id windows (row, col, phase, shift, k), |k| <= radius, in
-    chunks of rows, so a gather stays under ``_GATHER_FLOATS``;
-    ``per_shift`` maps the two id arrays to the (row, col, phase, shift)
-    terms.  Returns three dense (len(set_a), len(set_b)) matrices: the best
-    average (phases scanned in order; a later phase wins only when lower by
-    more than TOL), the phase that attains it, and the phase-0 average.
+    modulo the gcd g of the periods, so each pair's value is its best
+    phase-aligned average.  For periods (p, q) and phase a, the cost
+    sequence e(s) = cost[x_(a+s), y_s] has period L = lcm(p, q); it is
+    gathered once, wrap-padded by M = min(radius, L // 2).  The term at s,
+
+        max(tail, e(s), max over 1 <= |k| <= radius of min(e(s+k), 1/(|k|+1))),
+
+    is raised offset by offset, m = 1 .. M, by min(max(e(s-m), e(s+m)), 1/(m+1)).
+    Min and max only select, so the terms are the full window's bits: an
+    offset k beyond L // 2 reads the e of the offset k mod L nearest 0,
+    whose weight is at least k's; and once every term of a chunk is
+    >= 1/(m+1), no later, lighter offset can raise one, so the scan stops.
+    The k = 0 term has no weight: with ``tail`` -inf, costs above 1 count
+    in full.  Chunks of rows, and of columns when one row is too large,
+    keep a chunk's arrays (padded gather, terms, scratch, phase means, ids)
+    within ``_GATHER_FLOATS`` floats.  Returns three dense
+    (len(set_a), len(set_b)) matrices: the best average (phases scanned in
+    order; a later phase wins only when lower by more than TOL), the phase
+    that attains it, and the phase-0 average.
     """
-    ks = np.arange(-radius, radius + 1)
     value, aligned = np.empty((2, len(set_a), len(set_b)))
     phase = np.zeros(value.shape, dtype=int)
     groups_b = _by_period(set_b)
     for p, (rows, words_a) in _by_period(set_a).items():
         for q, (cols, words_b) in groups_b.items():
             g, L = math.gcd(p, q), math.lcm(p, q)
-            shift = np.arange(L)[:, None] + ks[None, :]
-            idx_a = words_a[:, (np.arange(g)[:, None, None] + shift) % p]
-            idx_b = words_b[:, shift % q][None, :, None]
-            step = max(1, _GATHER_FLOATS // (len(cols) * p * q * len(ks)))
-            for lo in range(0, len(rows), step):
-                terms = per_shift(idx_a[lo : lo + step, None], idx_b)
-                # contiguous last axis: the pairwise sum of a 1-D mean, bit for bit
-                by_phase = np.ascontiguousarray(terms).mean(axis=-1)
-                best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
-                for a in range(1, g):
-                    better = by_phase[..., a] < best - TOL
-                    best = np.where(better, by_phase[..., a], best)
-                    arg[better] = a
-                block = np.ix_(rows[lo : lo + step], cols)
-                value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
+            M = min(radius, L // 2)
+            shift = np.arange(-M, L + M)
+            at_a, at_b = (np.arange(g)[:, None] + shift) % p, shift % q
+            row_ids, col_ids = g * len(shift), len(shift)
+            # floats per pair: padded gather, terms, scratch, phase means, 3 for the scan
+            pair = g * (len(shift) + 2 * L + 1) + 3
+            col_step = max(1, min(len(cols), (_GATHER_FLOATS - row_ids) // (pair + col_ids)))
+            row_step = max(1, (_GATHER_FLOATS - col_step * col_ids) // (col_step * pair + row_ids))
+            for r in range(0, len(rows), row_step):
+                ids_a = words_a[r : r + row_step][:, None, at_a]
+                for c in range(0, len(cols), col_step):
+                    ids_b = words_b[c : c + col_step][:, None, at_b]
+                    e = cost[ids_a, ids_b]  # (rows, cols, phase, shift), padded
+                    by_phase = _raise_terms(e, M, L, tail).sum(axis=-1) / L  # as np.mean
+                    best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
+                    for a in range(1, g):
+                        better = by_phase[..., a] < best - TOL
+                        best = np.where(better, by_phase[..., a], best)
+                        arg[better] = a
+                    block = rows[r : r + row_step, None], cols[None, c : c + col_step]
+                    value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
     return value, phase, aligned
+
+
+def _raise_terms(e, M, L, tail):
+    """The terms of :func:`_phase_scan` from e padded by M, as a C-order array."""
+    # a contiguous last axis sums as a 1-D mean does, bit for bit, and an
+    # advanced-indexing result's layout is unspecified: hence the copy
+    terms = e[..., M : M + L].copy()
+    scratch = np.empty_like(terms)
+    for m in range(1, M + 1):
+        weight = 1.0 / (m + 1)
+        if terms.min() >= weight:
+            break
+        np.maximum(e[..., M - m : M - m + L], e[..., M + m : M + m + L], out=scratch)
+        np.maximum(terms, np.minimum(scratch, weight, out=scratch), out=terms)
+    return np.maximum(terms, tail, out=terms)
 
 
 def _rho_bar_matrices(set_a, set_b, cost):
     """rho_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
 
-    The scan of :func:`_phase_scan` with the coordinate cost as the
-    per-shift term: no window, no truncation weights and no tail, so costs
-    above 1 count in full.
+    :func:`_phase_scan` at radius 0 with tail -inf: each term is the
+    coordinate cost e(s) itself, with no truncation weight, so costs above 1
+    count in full.
     """
-    cost = np.asarray(cost, dtype=float)
-    return _phase_scan(set_a, set_b, 0, lambda a, b: cost[a[..., 0], b[..., 0]])
+    return _phase_scan(set_a, set_b, np.asarray(cost, dtype=float), 0, -math.inf)
 
 
 def rho_bar_periodic(pm, qm, cost):
@@ -474,17 +504,16 @@ def pi_bar_matrices(set_a, set_b, sys, radius):
     |k| <= radius, raised to the truncation tail 1/(radius+2) when below it:
     the rule is ``max(value, tail)``, with no TOL margin (unlike
     :func:`~deltachain.core.pi_distance`, which keeps a value only when it
-    exceeds the tail by more than TOL).  Returns three dense
-    (len(set_a), len(set_b)) matrices: the pi_bar value, the phase that
-    attains it and the phase-0 value; see :func:`_phase_scan`.
+    exceeds the tail by more than TOL).  :func:`_phase_scan` builds it from
+    each pair's per-phase cost sequence, with the full window's bits; the
+    metric meets the k = 0 weight 1 first, as a system admits entries up to
+    1 + TOL.  Returns three dense (len(set_a), len(set_b)) matrices: the
+    pi_bar value, the phase that attains it and the phase-0 value.
     """
     K = int(radius)
     if K < 0:
         raise SchemaError("/radius", "radius must be >= 0")
-    tail = 1.0 / (K + 2)
-    return _phase_scan(
-        set_a, set_b, K, lambda a, b: np.maximum(_truncated_max(sys.dist, a, b), tail)
-    )
+    return _phase_scan(set_a, set_b, np.minimum(sys.dist, 1.0), K, 1.0 / (K + 2))
 
 
 def pi_bar_periodic(pm, qm, sys, radius):

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from deltachain.builders import circle_doubling, random_metric
+from deltachain.chain import build_chain_graph, mixing_certificate
 from deltachain.core import (
     FiniteMetricSystem,
     FiniteTrajectory,
+    _windows_within,
     normalize_metric,
     pi_distance,
     surjective_core,
     system_from_dict,
-    window_check,
 )
 from deltachain.errors import InsufficientWindow, NotAMetric, SchemaError
+from deltachain.specification import spacing_constant
 
 
 def two_point_system():
@@ -150,6 +152,11 @@ class TestTrajectoryInput:
         assert {type(v) for v in x.entries} == {int}
 
 
+def window_check(sys, eps, x, y):
+    """The window test at shift 0: rho(x_k, y_k) < eps at every |k| + 1 <= max(1, 1/eps)."""
+    return bool(_windows_within(sys, eps, x, y, 0, 0)[0])
+
+
 class TestWindowCheck:
     def test_window_size_matches_condition(self):
         # eps = 1/2 checks k in {-1, 0, 1}: coverage of exactly that must do
@@ -187,9 +194,10 @@ class TestWindowCheck:
 
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, float("nan")])
     def test_eps_outside_unit_interval(self, eps):
-        x = FiniteTrajectory([0] * 9, origin=4)
+        # eps is checked where it enters: the gluing's spacing constant
+        cert = mixing_certificate(build_chain_graph(circle_doubling(4), 0.5))
         with pytest.raises(SchemaError) as err:
-            window_check(circle_doubling(4), eps, x, x)
+            spacing_constant(eps, cert)
         assert err.value.pointer == "/eps"
 
     def test_eps_one_is_the_centre_coordinate(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -967,6 +968,160 @@ class TestPiBarMatrices:
         for i, pm in enumerate(set_a):
             for j, qm in enumerate(set_b):
                 assert pi_bar_periodic(pm, qm, sys, 6) == (value[i, j], phase[i, j], 1.0 / 8)
+
+
+def full_window_scan(set_a, set_b, radius, per_shift):
+    """The phase scan over full windows of 2 * radius + 1 offsets, as it was before
+    the per-phase cost sequences, unchunked: the reference for bit-for-bit checks.
+
+    Gathers the id windows (row, col, phase, shift, k), |k| <= radius, for
+    each period group; ``per_shift`` maps the two id arrays to the
+    (row, col, phase, shift) terms, whose contiguous mean over the shifts is
+    scanned over the phases in order (a later phase wins only when lower by
+    more than TOL).  Returns (value, phase, phase-0 value) matrices.
+    """
+    def by_period(orbits):
+        groups = {}
+        for i, pm in enumerate(orbits):
+            groups.setdefault(pm.period, []).append((i, pm.word))
+        return {p: tuple(np.array(col) for col in zip(*group)) for p, group in groups.items()}
+
+    ks = np.arange(-radius, radius + 1)
+    value, aligned = np.empty((2, len(set_a), len(set_b)))
+    phase = np.zeros(value.shape, dtype=int)
+    for p, (rows, words_a) in by_period(set_a).items():
+        for q, (cols, words_b) in by_period(set_b).items():
+            g, L = math.gcd(p, q), math.lcm(p, q)
+            shift = np.arange(L)[:, None] + ks[None, :]
+            idx_a = words_a[:, (np.arange(g)[:, None, None] + shift) % p]
+            idx_b = words_b[:, shift % q][None, :, None]
+            terms = per_shift(idx_a[:, None], idx_b)
+            by_phase = np.ascontiguousarray(terms).mean(axis=-1)
+            best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
+            for a in range(1, g):
+                better = by_phase[..., a] < best - TOL
+                best = np.where(better, by_phase[..., a], best)
+                arg[better] = a
+            block = np.ix_(rows, cols)
+            value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
+    return value, phase, aligned
+
+
+def full_window_pi_bar(set_a, set_b, dist, radius):
+    """pi_bar terms as the window maximum of min(dist, 1/(|k|+1)), raised to 1/(radius+2)."""
+    weights = 1.0 / (np.abs(np.arange(-radius, radius + 1)) + 1.0)
+    tail = 1.0 / (radius + 2)
+
+    def per_shift(a, b):
+        terms = dist[a, b]
+        return np.maximum(np.minimum(terms, weights, out=terms).max(axis=-1), tail)
+
+    return full_window_scan(set_a, set_b, radius, per_shift)
+
+
+def full_window_rho_bar(set_a, set_b, cost):
+    """rho_bar terms: the coordinate cost itself, no weight and no tail."""
+    return full_window_scan(set_a, set_b, 0, lambda a, b: cost[a[..., 0], b[..., 0]])
+
+
+class TestCostSequenceKernel:
+    """pi_bar_matrices and _rho_bar_matrices against the full-window scan, bit for bit."""
+
+    @staticmethod
+    def orbits(rng, letters, periods, count):
+        words = (rng.choice(letters, int(rng.choice(periods))) for _ in range(count))
+        return [PeriodicOrbitMeasure(tuple(int(v) for v in word)) for word in words]
+
+    @staticmethod
+    def banded_system(rng, n, lo, hi):
+        # off-diagonal entries in [lo, hi] with hi <= 2 lo: every triangle holds
+        dist = rng.uniform(lo, hi, (n, n))
+        dist = np.triu(dist, 1) + np.triu(dist, 1).T
+        return FiniteMetricSystem(tuple(range(n)), dist, tuple(range(n)))
+
+    @pytest.fixture(params=["default", "one float"])
+    def gather(self, request, monkeypatch):
+        if request.param == "one float":
+            monkeypatch.setattr(measures, "_GATHER_FLOATS", 1)  # one pair per gather
+        return request.param
+
+    @staticmethod
+    def assert_same(got, ref):
+        for g, r in zip(got, ref, strict=True):
+            assert g.dtype == r.dtype and np.array_equal(g, r)
+
+    @pytest.mark.parametrize(
+        "periods, radius",
+        [
+            ((1, 2, 3, 4, 5, 6, 7, 8), 2),  # K < L // 2 for most groups
+            ((1, 2, 3, 4), 9),  # K > L // 2 for every group
+            ((2, 4, 6), 5),  # g > 1 in every group
+            ((1, 2, 3, 4, 5, 6), 0),  # radius 0: the k = 0 weight and the tail only
+        ],
+    )
+    def test_random_sets(self, periods, radius, gather):
+        rng = np.random.default_rng(radius)
+        sys = random_metric(9, seed=50 + radius)
+        set_a, set_b = (self.orbits(rng, 9, periods, count) for count in (14, 11))
+        set_b += set_a[:3]  # identical orbits: terms of 0 keep the scan from stopping
+        self.assert_same(
+            pi_bar_matrices(set_a, set_b, sys, radius),
+            full_window_pi_bar(set_a, set_b, sys.dist, radius),
+        )
+
+    @pytest.mark.parametrize("lo, stop", [(0.5, 1), (1.0 / 3, 2), (0.05, None)])
+    def test_early_stop(self, lo, stop, gather):
+        # cross costs >= lo, so every term is >= 1/(stop+1) before offset
+        # `stop` and the scan ends there; None: it runs to min(K, L // 2)
+        rng = np.random.default_rng(7)
+        sys = self.banded_system(rng, 10, lo, min(1.0, 2 * lo))
+        set_a = self.orbits(rng, np.arange(5), (1, 2, 3, 4, 6), 9)
+        set_b = self.orbits(rng, np.arange(5, 10), (2, 3, 4, 5, 6), 8)
+        assert sys.dist[:5, 5:].min() >= lo
+        if stop is not None:
+            assert lo >= 1.0 / (stop + 1)
+        self.assert_same(
+            pi_bar_matrices(set_a, set_b, sys, 7),
+            full_window_pi_bar(set_a, set_b, sys.dist, 7),
+        )
+
+    def test_entries_up_to_one_plus_tol_meet_the_unit_weight(self, gather):
+        # a system admits entries up to 1 + TOL; the k = 0 weight 1 clamps them
+        dist = (1.0 + 0.5 * TOL) * (1.0 - np.eye(3))
+        sys = FiniteMetricSystem(("a", "b", "c"), dist, (1, 2, 0))
+        set_a = [PeriodicOrbitMeasure((0,)), PeriodicOrbitMeasure((0, 1, 2))]
+        set_b = [PeriodicOrbitMeasure((1,)), PeriodicOrbitMeasure((2, 1))]
+        got = pi_bar_matrices(set_a, set_b, sys, 0)
+        self.assert_same(got, full_window_pi_bar(set_a, set_b, sys.dist, 0))
+        assert got[0][0, 0] == 1.0
+
+    @pytest.mark.parametrize("periods", [(1, 2, 3, 4, 5, 6), (2, 4, 6)])
+    def test_rho_bar_costs_above_one_count_in_full(self, periods, gather):
+        rng = np.random.default_rng(len(periods))
+        cost = 3.0 * rng.random((8, 8))
+        set_a, set_b = (self.orbits(rng, 8, periods, count) for count in (12, 10))
+        got = measures._rho_bar_matrices(set_a, set_b, cost)
+        self.assert_same(got, full_window_rho_bar(set_a, set_b, cost))
+        assert got[0].max() > 1.0
+
+    def test_period_30_memory_is_bounded(self):
+        # the full window gathered 61 offsets per term: 174 MB at this size
+        rng = np.random.default_rng(30)
+        words = rng.integers(0, 40, (2, 200, 30))
+        set_a, set_b = ([PeriodicOrbitMeasure(tuple(w.tolist())) for w in side] for side in words)
+        assert {pm.period for pm in set_a + set_b} == {30}
+        sys = random_metric(40)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            value, phase, aligned = pi_bar_matrices(set_a, set_b, sys, 30)
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * measures._GATHER_FLOATS + value.nbytes + phase.nbytes + aligned.nbytes
+        assert seconds < 30
+        assert np.all(value <= aligned) and np.all(value >= 1.0 / 32)
 
 
 class TestRhoBarMarkovUpper:

@@ -20,8 +20,8 @@ from deltachain.core import (
     FiniteMetricSystem,
     FiniteTrajectory,
     IntervalSegment,
+    _windows_within,
     pi_distance,
-    window_check,
     window_radius,
 )
 from deltachain.errors import EmptySet, InsufficientWindow
@@ -242,11 +242,11 @@ class TestWindowBoundaries:
             redraw = rng.random(len(y.entries)) < (trial % 5) / (2 * W + 1)
             ids = np.where(redraw, rng.integers(0, sys.n, len(redraw)), y.entries)
             x = FiniteTrajectory(ids.tolist(), origin=y.origin)
-            got = window_check(sys, eps, x, y)
+            got = bool(_windows_within(sys, eps, x, y, 0, 0)[0])
             assert got == loop_window_check(sys, eps, x, y)
             outcomes.add(got)
             for k in range(-2, 3):
-                within = window_check(sys, eps, x.shifted(k), y.shifted(k))
+                within = bool(_windows_within(sys, eps, x, y, k, k)[0])
                 assert within is not loop_pi_exceeds(sys, x, y, k, eps)
         assert outcomes == {True, False}
 
@@ -262,7 +262,7 @@ class TestWindowBoundaries:
                 entries[W + 1 + offset] = point
                 y = FiniteTrajectory(entries, origin=W + 1)
                 expect = binds and offset == W
-                assert window_check(sys, eps, x, y) is (not expect)
+                assert bool(_windows_within(sys, eps, x, y, 0, 0)[0]) is (not expect)
 
 
 class TestVerifyTrace:

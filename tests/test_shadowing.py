@@ -5,7 +5,7 @@ import pytest
 
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
-from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, window_check
+from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, _windows_within
 from deltachain.errors import BadHorizon, InsufficientWindow
 from deltachain.shadowing import (
     besicovitch_pi,
@@ -422,7 +422,7 @@ class TestFoldedKernelsAgainstLoops:
             W = int(1.0 / lv - 1.0 + TOL)
             x, y = near_pair(rng, sys, -W - 2, W + 2)
             for k in range(-2, 3):
-                passed = window_check(sys, lv, x.shifted(k), y.shifted(k))
+                passed = bool(_windows_within(sys, lv, x, y, k, k)[0])
                 assert passed is not loop_pi_exceeds(sys, x, y, k, lv)
 
     @pytest.mark.parametrize("delta", [1.0, 0.5, 1.0 / 3, 1.0 / 7, None])
