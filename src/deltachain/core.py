@@ -245,18 +245,24 @@ def _windows(traj, lo, hi, radius):
     return np.lib.stride_tricks.sliding_window_view(ids, 2 * radius + 1)
 
 
-def _truncated_max(dist, x_ids, y_ids):
-    """Per-shift product-metric maxima over id windows of length 2K+1.
+def _truncated_max(e, M):
+    """Per-shift product-metric maxima of a cost sequence padded by M each side.
 
-    Maps id arrays of shape (..., 2K+1), offsets k = -K .. K on the last
-    axis, to ``max over |k| <= K of min(dist[x_k, y_k], 1/(|k|+1))``.  The
-    truncation is applied in place on the gathered terms, so the gather is
-    the only temporary.
+    Term s of the result, s = 0 .. len - 2M - 1 on the last axis, is
+    ``max over |k| <= M of min(e[M+s+k], 1/(|k|+1))``, with no weight at
+    k = 0: callers clamp a metric at 1 first.  It is raised offset by offset
+    by min(max(e(s-m), e(s+m)), 1/(m+1)); min and max only select, so the
+    terms are the bits of a full window's maximum.  Returns a C-order array.
     """
-    K = x_ids.shape[-1] // 2
-    terms = dist[x_ids, y_ids]
-    weights = 1.0 / (np.abs(np.arange(-K, K + 1)) + 1.0)
-    return np.minimum(terms, weights, out=terms).max(axis=-1)
+    L = e.shape[-1] - 2 * M
+    # a contiguous last axis sums as a 1-D mean does, bit for bit, and an
+    # advanced-indexing result's layout is unspecified: hence the copy
+    terms = e[..., M : M + L].copy()
+    scratch = np.empty_like(terms)
+    for m in range(1, M + 1):
+        np.maximum(e[..., M - m : M - m + L], e[..., M + m : M + m + L], out=scratch)
+        np.maximum(terms, np.minimum(scratch, 1.0 / (m + 1), out=scratch), out=terms)
+    return terms
 
 
 def pi_distance(sys, x, y, radius):
@@ -282,7 +288,8 @@ def _pi_values(sys, x, y, lo, hi, radius):
     if K < 1:
         raise InsufficientWindow("radius must be a positive integer")
     tail = 1.0 / (K + 2)
-    values = _truncated_max(sys.dist, _windows(x, lo, hi, K), _windows(y, lo, hi, K))
+    e = sys.dist[np.asarray(x.window(lo - K, hi + K)), np.asarray(y.window(lo - K, hi + K))]
+    values = _truncated_max(np.minimum(e, 1.0, out=e), K)
     return np.where(values > tail + TOL, values, tail), tail
 
 

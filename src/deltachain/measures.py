@@ -48,7 +48,7 @@ import numpy as np
 import scipy.optimize._highspy._core as _highs
 
 from .chain import _glue
-from .core import TOL
+from .core import TOL, _truncated_max
 from .errors import (
     DegenerateWeights,
     DepthMismatch,
@@ -410,17 +410,16 @@ def _phase_scan(set_a, set_b, cost, radius, tail):
     modulo the gcd g of the periods, so each pair's value is its best
     phase-aligned average.  For periods (p, q) and phase a, the cost
     sequence e(s) = cost[x_(a+s), y_s] has period L = lcm(p, q); it is
-    gathered once, wrap-padded by M = min(radius, L // 2).  The term at s,
+    gathered once, wrap-padded by M = min(radius, L // 2).  The term at s is
 
         max(tail, e(s), max over 1 <= |k| <= radius of min(e(s+k), 1/(|k|+1))),
 
-    is raised offset by offset, m = 1 .. M, by min(max(e(s-m), e(s+m)), 1/(m+1)).
-    Min and max only select, so the terms are the full window's bits: an
-    offset k beyond L // 2 reads the e of the offset k mod L nearest 0,
-    whose weight is at least k's; and once every term of a chunk is
-    >= 1/(m+1), no later, lighter offset can raise one, so the scan stops.
-    The k = 0 term has no weight: with ``tail`` -inf, costs above 1 count
-    in full.  Chunks of rows, and of columns when one row is too large,
+    built by :func:`~deltachain.core._truncated_max` over the padded
+    sequence.  Min and max only select and e is L-periodic, so an offset k
+    beyond L // 2 repeats the e of the offset k mod L nearest 0, whose
+    weight is at least k's: the terms are the full window's bits.  The
+    k = 0 term has no weight: with ``tail`` -inf, costs above 1 count in
+    full.  Chunks of rows, and of columns when one row is too large,
     keep a chunk's arrays (padded gather, terms, scratch, phase means, ids)
     within ``_GATHER_FLOATS`` floats.  Returns three dense
     (len(set_a), len(set_b)) matrices: the best average (phases scanned in
@@ -445,8 +444,11 @@ def _phase_scan(set_a, set_b, cost, radius, tail):
                 ids_a = words_a[r : r + row_step][:, None, at_a]
                 for c in range(0, len(cols), col_step):
                     ids_b = words_b[c : c + col_step][:, None, at_b]
-                    e = cost[ids_a, ids_b]  # (rows, cols, phase, shift), padded
-                    by_phase = _raise_terms(e, M, L, tail).sum(axis=-1) / L  # as np.mean
+                    # padded gather (rows, cols, phase, shift); it and the terms
+                    # are freed before the next chunk's gather
+                    terms = _truncated_max(cost[ids_a, ids_b], M)
+                    by_phase = np.maximum(terms, tail, out=terms).sum(axis=-1) / L  # as np.mean
+                    del terms
                     best, arg = by_phase[..., 0], np.zeros(by_phase.shape[:2], dtype=int)
                     for a in range(1, g):
                         better = by_phase[..., a] < best - TOL
@@ -455,21 +457,6 @@ def _phase_scan(set_a, set_b, cost, radius, tail):
                     block = rows[r : r + row_step, None], cols[None, c : c + col_step]
                     value[block], phase[block], aligned[block] = best, arg, by_phase[..., 0]
     return value, phase, aligned
-
-
-def _raise_terms(e, M, L, tail):
-    """The terms of :func:`_phase_scan` from e padded by M, as a C-order array."""
-    # a contiguous last axis sums as a 1-D mean does, bit for bit, and an
-    # advanced-indexing result's layout is unspecified: hence the copy
-    terms = e[..., M : M + L].copy()
-    scratch = np.empty_like(terms)
-    for m in range(1, M + 1):
-        weight = 1.0 / (m + 1)
-        if terms.min() >= weight:
-            break
-        np.maximum(e[..., M - m : M - m + L], e[..., M + m : M + m + L], out=scratch)
-        np.maximum(terms, np.minimum(scratch, weight, out=scratch), out=terms)
-    return np.maximum(terms, tail, out=terms)
 
 
 def _rho_bar_matrices(set_a, set_b, cost):

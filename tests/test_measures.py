@@ -1,6 +1,5 @@
 import itertools
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -1032,13 +1031,6 @@ class TestCostSequenceKernel:
         words = (rng.choice(letters, int(rng.choice(periods))) for _ in range(count))
         return [PeriodicOrbitMeasure(tuple(int(v) for v in word)) for word in words]
 
-    @staticmethod
-    def banded_system(rng, n, lo, hi):
-        # off-diagonal entries in [lo, hi] with hi <= 2 lo: every triangle holds
-        dist = rng.uniform(lo, hi, (n, n))
-        dist = np.triu(dist, 1) + np.triu(dist, 1).T
-        return FiniteMetricSystem(tuple(range(n)), dist, tuple(range(n)))
-
     @pytest.fixture(params=["default", "one float"])
     def gather(self, request, monkeypatch):
         if request.param == "one float":
@@ -1063,26 +1055,10 @@ class TestCostSequenceKernel:
         rng = np.random.default_rng(radius)
         sys = random_metric(9, seed=50 + radius)
         set_a, set_b = (self.orbits(rng, 9, periods, count) for count in (14, 11))
-        set_b += set_a[:3]  # identical orbits: terms of 0 keep the scan from stopping
+        set_b += set_a[:3]  # identical orbits: terms of 0
         self.assert_same(
             pi_bar_matrices(set_a, set_b, sys, radius),
             full_window_pi_bar(set_a, set_b, sys.dist, radius),
-        )
-
-    @pytest.mark.parametrize("lo, stop", [(0.5, 1), (1.0 / 3, 2), (0.05, None)])
-    def test_early_stop(self, lo, stop, gather):
-        # cross costs >= lo, so every term is >= 1/(stop+1) before offset
-        # `stop` and the scan ends there; None: it runs to min(K, L // 2)
-        rng = np.random.default_rng(7)
-        sys = self.banded_system(rng, 10, lo, min(1.0, 2 * lo))
-        set_a = self.orbits(rng, np.arange(5), (1, 2, 3, 4, 6), 9)
-        set_b = self.orbits(rng, np.arange(5, 10), (2, 3, 4, 5, 6), 8)
-        assert sys.dist[:5, 5:].min() >= lo
-        if stop is not None:
-            assert lo >= 1.0 / (stop + 1)
-        self.assert_same(
-            pi_bar_matrices(set_a, set_b, sys, 7),
-            full_window_pi_bar(set_a, set_b, sys.dist, 7),
         )
 
     def test_entries_up_to_one_plus_tol_meet_the_unit_weight(self, gather):
@@ -1113,14 +1089,11 @@ class TestCostSequenceKernel:
         sys = random_metric(40)
         tracemalloc.start()
         try:
-            start = time.perf_counter()
             value, phase, aligned = pi_bar_matrices(set_a, set_b, sys, 30)
-            seconds = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * measures._GATHER_FLOATS + value.nbytes + phase.nbytes + aligned.nbytes
-        assert seconds < 30
         assert np.all(value <= aligned) and np.all(value >= 1.0 / 32)
 
 
