@@ -181,6 +181,13 @@ class TestTailRules:
         y = FiniteTrajectory([0, 1, 0], origin=1)
         assert pi_distance(sys, x, y, K) == (d, True) == loop_pi_distance(sys, x, y, K)
 
+    def test_entry_above_one_meets_the_unit_weight(self):
+        # a system admits entries up to 1 + TOL; the k = 0 weight 1 clamps them
+        sys = self.two_point(1.0 + TOL / 2)
+        x = FiniteTrajectory([0, 0, 0], origin=1)
+        y = FiniteTrajectory([0, 1, 0], origin=1)
+        assert pi_distance(sys, x, y, 1) == (1.0, True) == loop_pi_distance(sys, x, y, 1)
+
     def test_window_errors(self):
         sys = circle_doubling(4)
         x = FiniteTrajectory([0] * 5, origin=2)
