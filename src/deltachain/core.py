@@ -216,10 +216,6 @@ class FiniteTrajectory:
             raise InsufficientWindow(f"window [{lo}, {hi}] not covered")
         return self.entries[self.origin + lo : self.origin + hi + 1]
 
-    def shifted(self, j):
-        """The trajectory of S^j: coordinate k of the result is x_{j+k}."""
-        return FiniteTrajectory(self.entries, self.origin + j)
-
 
 @dataclass(frozen=True)
 class IntervalSegment:
@@ -236,13 +232,13 @@ class IntervalSegment:
             raise InsufficientWindow(f"source does not cover [{self.a}, {self.b})")
 
 
-def _windows(traj, lo, hi, radius):
-    """Ids of ``traj`` at j + k, |k| <= radius, one row per shift j = lo .. hi.
+def _coordinate_distances(sys, x, y, lo, hi):
+    """rho(x_k, y_k) for k = lo .. hi, a fresh array: the one gather of two trajectories.
 
-    Raises InsufficientWindow unless ``traj`` covers [lo - radius, hi + radius].
+    It feeds the pi terms, the window test and the Besicovitch estimates;
+    InsufficientWindow unless x, then y, covers [lo, hi].
     """
-    ids = np.asarray(traj.window(lo - radius, hi + radius))
-    return np.lib.stride_tricks.sliding_window_view(ids, 2 * radius + 1)
+    return sys.dist[np.asarray(x.window(lo, hi)), np.asarray(y.window(lo, hi))]
 
 
 def _truncated_max(e, M):
@@ -288,7 +284,7 @@ def _pi_values(sys, x, y, lo, hi, radius):
     if K < 1:
         raise InsufficientWindow("radius must be a positive integer")
     tail = 1.0 / (K + 2)
-    e = sys.dist[np.asarray(x.window(lo - K, hi + K)), np.asarray(y.window(lo - K, hi + K))]
+    e = _coordinate_distances(sys, x, y, lo - K, hi + K)
     values = _truncated_max(np.minimum(e, 1.0, out=e), K)
     return np.where(values > tail + TOL, values, tail), tail
 
@@ -299,9 +295,14 @@ def window_radius(eps):
 
 
 def _windows_within(sys, eps, x, y, lo, hi):
-    """Per shift j = lo .. hi: rho(x_{j+k}, y_{j+k}) < eps at every |k| <= window_radius(eps)."""
+    """Per shift j = lo .. hi: rho(x_{j+k}, y_{j+k}) < eps at every |k| <= W = window_radius(eps).
+
+    One comparison per coordinate of [lo - W, hi + W], and shift j takes the
+    2W + 1 centred on it; InsufficientWindow unless x, then y, covers them.
+    """
     W = window_radius(eps)
-    return (sys.dist[_windows(x, lo, hi, W), _windows(y, lo, hi, W)] < eps - TOL).all(axis=-1)
+    near = _coordinate_distances(sys, x, y, lo - W, hi + W) < eps - TOL
+    return np.lib.stride_tricks.sliding_window_view(near, 2 * W + 1).all(axis=-1)
 
 
 def surjective_core(sys):

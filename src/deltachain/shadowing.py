@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, _pi_values, _windows_within, window_radius
+from .core import TOL, _coordinate_distances, _pi_values, _windows_within, window_radius
 from .errors import BadHorizon
 
 
@@ -45,7 +45,9 @@ class BesicovitchEstimate:
 def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=None):
     """Validate a finite sequence against one of the pseudo-orbit notions.
 
-    kind = "delta_chain": every step error < delta.
+    kind = "delta_chain": every step error rho(T x_k, x_(k+1)) <= delta + TOL, ties
+    passing: the edge rule of :func:`~deltachain.chain.build_chain_graph`, so
+    the kind accepts exactly the walks of the delta chain graph.
     kind = "delta_average": every window average of length n >= N (all offsets)
     is < delta; a pass is decided in O(steps), and the window loop runs only
     to name the first violating window or when rounding leaves it undecided.
@@ -62,7 +64,7 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
     prefix = np.concatenate([[0.0], np.cumsum(errors)])
 
     if kind == "delta_chain":
-        bad = np.nonzero(errors >= delta - TOL)[0]
+        bad = np.nonzero(errors > delta + TOL)[0]
         if bad.size:
             j = int(bad[0])
             return PseudoOrbitReport(kind, delta, steps, False, witness=j)
@@ -101,11 +103,6 @@ def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=Non
         )
 
     raise BadHorizon(f"unknown pseudo-orbit kind {kind!r}")
-
-
-def _coordinate_distances(sys, x, y, lo, hi):
-    """rho(x_k, y_k) for k = lo .. hi; InsufficientWindow unless both cover them."""
-    return sys.dist[np.asarray(x.window(lo, hi)), np.asarray(y.window(lo, hi))]
 
 
 def besicovitch_rho(x, y, sys, N):

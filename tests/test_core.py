@@ -118,21 +118,6 @@ class TestPiDistance:
                 assert vals[2][0] <= vals[0][0] + vals[1][0] + 1e-12
 
 
-class TestShifted:
-    def test_shift_semantics(self):
-        x = FiniteTrajectory([10, 11, 12, 13, 14], origin=2)
-        assert x.at(0) == 12
-        s = x.shifted(1)
-        assert s.at(0) == x.at(1)
-        assert s.at(-1) == x.at(0)
-        back = x.shifted(-2)
-        assert back.at(2) == x.at(0)
-
-    def test_shift_composes(self):
-        x = FiniteTrajectory(list(range(9)), origin=4)
-        assert x.shifted(2).shifted(1).at(0) == x.at(3)
-
-
 class TestTrajectoryInput:
     @pytest.mark.parametrize("entries", [[-1, 2], [0, 2.7], [0, 2.0], [True, 1], ["1"]])
     def test_entries_must_be_point_ids(self, entries):
@@ -165,6 +150,11 @@ class TestWindowCheck:
         assert window_check(sys, 0.5, x, x)
         with pytest.raises(InsufficientWindow):
             window_check(sys, 1.0 / 3, x, x)
+        # the first trajectory covers k in {-2, ..., 2}: only the second is short
+        wide = FiniteTrajectory([0] * 5, origin=2)
+        assert window_check(sys, 1.0 / 3, wide, wide)
+        with pytest.raises(InsufficientWindow):
+            window_check(sys, 1.0 / 3, wide, x)
 
     def test_equal_passes(self):
         sys = circle_doubling(4)

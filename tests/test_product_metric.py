@@ -61,7 +61,8 @@ def loop_pi_distance(sys, x, y, K):
 def loop_besicovitch_pi(x, y, sys, N, K):
     total = 0.0
     for j in range(N):
-        value, _ = loop_pi_distance(sys, x.shifted(j), y.shifted(j), K)
+        shifted = (FiniteTrajectory(t.entries, t.origin + j) for t in (x, y))
+        value, _ = loop_pi_distance(sys, *shifted, K)
         total += value
     return total / N
 
@@ -252,9 +253,13 @@ class TestWindowBoundaries:
             got = bool(_windows_within(sys, eps, x, y, 0, 0)[0])
             assert got == loop_window_check(sys, eps, x, y)
             outcomes.add(got)
+            singles = []
             for k in range(-2, 3):
                 within = bool(_windows_within(sys, eps, x, y, k, k)[0])
                 assert within is not loop_pi_exceeds(sys, x, y, k, eps)
+                singles.append(within)
+            # one range call lines each shift up with its own window
+            assert _windows_within(sys, eps, x, y, -2, 2).tolist() == singles
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("eps, W", [(1.0 / 3, 2), (1.0 / 4, 3), (1.0 / 7, 6)])

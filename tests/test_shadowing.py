@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltachain.builders import circle_doubling, random_metric
-from deltachain.chain import build_chain_graph, is_delta_chain
+from deltachain.chain import build_chain_graph, finite_chain, is_delta_chain
 from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, _windows_within
 from deltachain.errors import BadHorizon, InsufficientWindow
 from deltachain.shadowing import (
@@ -20,8 +20,9 @@ class TestValidatePseudoOrbit:
     def test_true_orbit_is_delta_chain_for_any_delta(self):
         sys = circle_doubling(15)
         orbit = FiniteTrajectory(sys.orbit(7, 20), origin=0)
-        report = validate_pseudo_orbit(orbit, sys, "delta_chain", delta=0.01)
-        assert report.passed
+        for delta in (0.0, 0.01):  # X_T is the delta = 0 chain system
+            report = validate_pseudo_orbit(orbit, sys, "delta_chain", delta=delta)
+            assert report.passed
 
     def test_step_error_witness(self):
         sys = circle_doubling(15)
@@ -34,20 +35,29 @@ class TestValidatePseudoOrbit:
         assert report.witness in (4, 5)  # the bad entry breaks a step beside it
 
     def test_chain_graph_agreement(self):
-        # a sequence passes the delta_chain check iff it is a walk of the graph
-        sys = random_metric(9, seed=2)
-        g = build_chain_graph(sys, 0.4)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            traj = FiniteTrajectory(rng.integers(0, 9, 6).tolist(), origin=0)
-            report = validate_pseudo_orbit(traj, sys, "delta_chain", delta=0.4)
-            # graph uses <= delta, validator uses < delta; avoid ties
-            errs = [
-                sys.rho(sys.map_image[traj.entries[i]], traj.entries[i + 1])
-                for i in range(5)
-            ]
-            if all(abs(e - 0.4) > 1e-9 for e in errs):
+        # a sequence passes the delta_chain check iff it is a walk of the graph,
+        # ties at delta included: circle_doubling(15) has step errors of exactly 0.2
+        for sys, delta in ((random_metric(9, seed=2), 0.4), (circle_doubling(15), 0.2)):
+            g = build_chain_graph(sys, delta)
+            rng = np.random.default_rng(0)
+            outcomes = set()
+            for _ in range(300):
+                start = int(rng.integers(0, sys.n))
+                ids = [start, int(rng.choice(g.successors(start)))]
+                traj = FiniteTrajectory(ids + rng.integers(0, sys.n, 4).tolist(), origin=0)
+                report = validate_pseudo_orbit(traj, sys, "delta_chain", delta=delta)
                 assert report.passed == is_delta_chain(traj, g)
+                outcomes.add(report.passed)
+            assert outcomes == {True, False}
+
+    def test_readme_walk_is_a_delta_chain(self):
+        sys = circle_doubling(15)
+        g = build_chain_graph(sys, 0.2)
+        traj = FiniteTrajectory(finite_chain(g, 0, 7, 6), origin=0)
+        errors = [sys.rho(sys.map_image[u], v) for u, v in zip(traj.entries, traj.entries[1:])]
+        assert max(errors) == 0.2  # the last step sits on the threshold
+        assert is_delta_chain(traj, g)
+        assert validate_pseudo_orbit(traj, sys, "delta_chain", delta=0.2).passed
 
     def test_average_kind_tolerates_rare_spikes(self):
         sys = circle_doubling(15)
