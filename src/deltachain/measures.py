@@ -92,7 +92,28 @@ def _primitive_root(word):
 
 
 def _least_rotation(word):
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    """The lexicographically least rotation of ``word``, by Booth's O(p) scan.
+
+    ``k`` is the start of the least rotation seen so far in ``word + word``,
+    and ``f`` the failure function of the string read from ``k`` on.
+    """
+    s = word + word
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = f[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return word[k:] + word[:k]
 
 
 @dataclass(frozen=True)

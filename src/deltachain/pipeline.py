@@ -78,6 +78,16 @@ class PipelineConfig:
             raise SchemaError("/target", "weights must sum to 1")
 
 
+def _json_types(hint):
+    """The JSON types a config field of annotation ``hint`` takes, and whether it takes null."""
+    types = typing.get_args(hint) or (hint,)
+    return tuple(list if t is tuple else t for t in types if t is not type(None)), type(None) in types
+
+
+#: field name -> (JSON types, takes null), read once from PipelineConfig's annotations
+_CONFIG_SCHEMA = {key: _json_types(hint) for key, hint in typing.get_type_hints(PipelineConfig).items()}
+
+
 @dataclass
 class PipelineReport:
     levels: list = field(default_factory=list)
@@ -91,15 +101,12 @@ def config_from_dict(data):
     """Strictly validated config; unknown fields are schema errors."""
     if not isinstance(data, dict):
         raise SchemaError("", "config must be an object")
-    schema = typing.get_type_hints(PipelineConfig)
     for key in data:
-        if key not in schema:
+        if key not in _CONFIG_SCHEMA:
             raise SchemaError(f"/{key}", "unknown field")
     _field(data, "system")
-    for key, hint in schema.items():
-        types = typing.get_args(hint) or (hint,)
-        if key in data and (data[key] is not None or type(None) not in types):
-            json_types = tuple(list if t is tuple else t for t in types if t is not type(None))
+    for key, (json_types, nullable) in _CONFIG_SCHEMA.items():
+        if key in data and not (nullable and data[key] is None):
             _check_type(f"/{key}", data[key], json_types)
     for key, types in (("eps_list", (int, float)), ("block_scales", (int,))):
         for i, entry in enumerate(data.get(key, ())):

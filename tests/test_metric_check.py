@@ -158,6 +158,65 @@ class TestAgainstTheLoop:
         _check_metric(d)
         normalize_metric(d)
 
+    def test_noisy_valid_n300_never_reaches_the_loop(self, monkeypatch):
+        # off-diagonal noise of 0.45 tol makes d asymmetric, so both passes run.
+        # 3-D points: in 2-D at this n some triples are tight to 1e-9, and the
+        # noise makes them true violations
+        rng = np.random.default_rng(300)
+        pts = rng.random((300, 3))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        noise = rng.uniform(-0.45 * TOL, 0.45 * TOL, size=d.shape)
+        np.fill_diagonal(noise, 0.0)
+        d = d + noise
+        assert not np.array_equal(d, d.T)
+
+        def fail(*args):
+            raise AssertionError("triangle loop reached")
+
+        monkeypatch.setattr(core, "_check_triangles", fail)
+        _check_metric(d)
+
+    def test_violation_seen_only_by_the_transposed_pass(self, monkeypatch):
+        # 30 lies on the segment from 0 to 20; raising d[20,0] and lowering
+        # d[20,30] and d[30,0] by 0.6 tol each (asymmetric within tol) breaks
+        # only the ordered triple (20, 30, 0).  Its far point 0 precedes the
+        # block of rows 16-31, so the rows of d never compare the pair
+        # {20, 30} at column 0: the rows of d.T find it.
+        pts = np.random.default_rng(40).random((40, 3))
+        pts[30] = 0.25 * pts[0] + 0.75 * pts[20]
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        d[20, 0] += 0.6 * TOL
+        d[20, 30] -= 0.6 * TOL
+        d[30, 0] -= 0.6 * TOL
+        passes = []
+        rows_within = core._rows_within
+
+        def recording(m, bound):
+            passes.append(rows_within(m, bound))
+            return passes[-1]
+
+        monkeypatch.setattr(core, "_rows_within", recording)
+        expect = outcome(loop_check_metric, d)
+        assert expect == ("triangle inequality fails", (20, 30, 0))
+        assert outcome(_check_metric, d) == expect
+        assert passes == [True, False]
+        assert outcome(_check_metric, d.T) == outcome(loop_check_metric, d.T) == (
+            "triangle inequality fails", (0, 30, 20))
+
+    def test_degenerate_triple_at_a_block_start(self):
+        # points 16 and 17 coincide; d[16,16] - d[16,17] - d[17,16] = 1.5 tol
+        # fails though every entry is within tol of a metric.  Only column 16,
+        # the first of its block, holds it: the fast accept must read it.
+        d = euclidean(np.random.default_rng(3), 20)
+        d[17] = d[16]
+        d[:, 17] = d[:, 16]
+        d[16, 17] = d[17, 16] = -0.5 * TOL
+        d[16, 16] = 0.5 * TOL
+        d[17, 17] = -0.5 * TOL
+        expect = outcome(loop_check_metric, d)
+        assert expect == ("triangle inequality fails", (16, 17, 16))
+        assert outcome(_check_metric, d) == expect
+
     def test_planted_violation_n600_names_the_loop_witness(self):
         d = line_with_planted_slack(np.random.default_rng(601), 600, 2 * TOL)
         expect = outcome(loop_check_metric, d)

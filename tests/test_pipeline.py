@@ -1,5 +1,7 @@
 import itertools
 import json
+import typing
+from dataclasses import fields
 
 import pytest
 
@@ -473,6 +475,24 @@ class TestConfigSchema:
         assert cfg.target == (((0,), 0.5), ((5, 10), 0.5))
         digest = "5fd38eea21ce5a7ff617f2221e9f8d57949fbd3aa79fcea9c5a5f718b9a930a0"
         assert pipeline._config_hash(cfg) == digest
+
+
+    def test_schema_is_read_once_from_the_annotations(self, monkeypatch):
+        schema = pipeline._CONFIG_SCHEMA
+        assert list(schema) == [f.name for f in fields(PipelineConfig)]
+        assert schema["system"] == ((dict, str), False)
+        assert schema["eps_list"] == ((list,), False) and schema["n_max"] == ((int,), False)
+        assert schema["target"] == ((list,), True) and schema["density_level"] == ((int,), True)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("type hints read again")
+
+        monkeypatch.setattr(typing, "get_type_hints", fail)
+        cfg = config_from_dict(dict(ACCEPTANCE_9_CONFIG, density_level=None))
+        assert cfg.density_level is None and cfg.target == (((0,), 0.5), ((5, 10), 0.5))
+        with pytest.raises(SchemaError) as err:
+            config_from_dict(dict(ACCEPTANCE_9_CONFIG, n_max=None))
+        assert err.value.pointer == "/n_max"
 
 
 class TestConfigEntries:

@@ -20,6 +20,8 @@ from deltachain.core import (
     FiniteMetricSystem,
     FiniteTrajectory,
     IntervalSegment,
+    _coordinate_distances,
+    _pi_values,
     _windows_within,
     pi_distance,
     window_radius,
@@ -275,6 +277,21 @@ class TestWindowBoundaries:
                 y = FiniteTrajectory(entries, origin=W + 1)
                 expect = binds and offset == W
                 assert bool(_windows_within(sys, eps, x, y, 0, 0)[0]) is (not expect)
+
+
+    @pytest.mark.parametrize("eps, W", [(1.0, 0), (0.3, 2)])
+    def test_empty_shift_range(self, eps, W):
+        # hi = lo - 1 is no shift: empty arrays, with [lo - W, hi + W] still checked
+        assert window_radius(eps) == W
+        sys = circle_doubling(15)
+        x = FiniteTrajectory(sys.orbit(3, 9), origin=4)  # coordinates -4 .. 4
+        y = FiniteTrajectory(sys.orbit(7, 9), origin=4)
+        within = _windows_within(sys, eps, x, y, 1, 0)
+        assert within.dtype == bool and within.shape == (0,)
+        assert _pi_values(sys, x, y, 1, 0, max(W, 1))[0].shape == (0,)
+        assert _coordinate_distances(sys, x, y, 1, 0).shape == (0,)
+        with pytest.raises(InsufficientWindow):
+            _windows_within(sys, eps, x, y, 6 - W, 5 - W)  # needs coordinate 5
 
 
 class TestVerifyTrace:
