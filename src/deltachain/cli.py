@@ -14,13 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import json
 import sys as _sys
 from contextlib import nullcontext
 
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, to_adjacency_lines, to_dot
-from .core import FiniteTrajectory, IntervalSegment, _field, _read_json, load_system, system_to_dict
+from .core import (
+    FiniteTrajectory, IntervalSegment, _object, _read_json, _under, load_system, system_to_dict,
+)
 from .errors import DeltachainError, NotMixing, SchemaError, SizeOverflow
 from .measures import _rho_bar_matrices, ergodic_measures_of_graph, pi_bar_matrices
 from .pipeline import density_demo, emit_report, load_config, run_pipeline
@@ -31,14 +34,18 @@ _DISTANCE_PAIRS = 1 << 16  # bound on the pairs of one block of rows in ``distan
 _MAX_PAIRS = 1_000_000  # bound on the pairs of one ``distances`` table (about 48 MB of CSV)
 
 
+#: the fields of a trajectory file and of one segment of a trace-spec file
+_TRAJECTORY_SCHEMA = {"entries": ((list,), False), "origin": ((int,), False)}
+_SEGMENT_SCHEMA = {"a": ((int,), False), "b": ((int,), False), "source": ((dict,), False)}
+
+
 def _load_trajectory(data, system, pointer=""):
     """A trajectory from ``{"entries": [point ids of system], "origin": k}`` at ``pointer``."""
-    try:
-        traj = FiniteTrajectory(_field(data, "entries", pointer, (list,)), data.get("origin", 0))
-    except SchemaError as exc:
-        raise SchemaError(pointer + exc.pointer, exc.reason) from None
-    if max(traj.entries) >= system.n:
-        raise SchemaError(f"{pointer}/entries", f"point ids must lie in [0, {system.n})")
+    with _under(pointer):
+        _object(data, "", _TRAJECTORY_SCHEMA, ("entries",))
+        traj = FiniteTrajectory(data["entries"], data.get("origin", 0))
+        if max(traj.entries) >= system.n:
+            raise SchemaError("/entries", f"point ids must lie in [0, {system.n})")
     return traj
 
 
@@ -64,12 +71,8 @@ def _write(text, out):
 
 
 def _cmd_generate(args):
-    kwargs = {"n": args.n}
-    if args.kind == "circle-rotation":
-        kwargs["k"] = args.k
-    if args.kind == "random-metric":
-        kwargs["seed"] = args.seed
-    system = BUILTIN_SYSTEMS[args.kind](**kwargs)
+    builder = BUILTIN_SYSTEMS[args.kind]
+    system = builder(**{key: getattr(args, key) for key in inspect.signature(builder).parameters})
     _write(json.dumps(system_to_dict(system), indent=2) + "\n", args.out)
     return 0
 
@@ -108,12 +111,14 @@ def _cmd_besicovitch(args):
 def _cmd_trace_spec(args):
     system, _ = load_system(args.system)
     graph = build_chain_graph(system, args.delta)
+    data = _object(_read_json(args.spec), "", {"segments": ((list,), False)}, ("segments",))
     segments = []
-    for i, seg in enumerate(_field(_read_json(args.spec), "segments", types=(list,))):
+    for i, seg in enumerate(data["segments"]):
         pointer = f"/segments/{i}"
-        a, b = (_field(seg, key, pointer, (int,)) for key in ("a", "b"))
-        source = _load_trajectory(_field(seg, "source", pointer), system, f"{pointer}/source")
-        segments.append(IntervalSegment(a, b, source))
+        _object(seg, pointer, _SEGMENT_SCHEMA, _SEGMENT_SCHEMA)
+        source = _load_trajectory(seg["source"], system, f"{pointer}/source")
+        with _under(pointer):
+            segments.append(IntervalSegment(seg["a"], seg["b"], source))
     spec = SpacedSpecification(tuple(segments))
     chain = trace_specification(spec, graph, args.eps)
     ok, detail = verify_trace(chain, spec, graph, args.eps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,10 @@ def _check_metric(d):
     column k holds the loop's ordered triples (i, j, k) and (j, i, k), so the
     columns k >= min(i, j) hold every triple whose last point is not the
     strict least of the three, k = i included; for a symmetric d the others
-    are the same sums reversed, bit for bit.  An asymmetric d (within tol)
-    also runs the rows of d.T, which hold every triple whose first point is
-    not the strict least, and no triple has both.  A pass is one Chebyshev
-    ``cdist`` per block of ``_BLOCK`` rows, over the columns from the block's
-    first row on: about n^3 / 3 steps, against n^3 / 2 over all columns.
+    are the same sums reversed, bit for bit; an asymmetric d (within tol)
+    takes every column, so its pairs hold every ordered triple.  The pass is
+    one Chebyshev ``cdist`` per block of ``_BLOCK`` rows, over the columns
+    from the block's first row on: about n^3 / 3 steps, against n^3 / 2.
 
     Each gap over ``min(d[i,j], d[j,i])`` may be 1e-9 - 16 eps times that
     entry's scale, at most the long side of a triangle with positive slack:
@@ -78,7 +78,7 @@ def _check_metric(d):
             i = int(np.argmax(np.abs(np.diag(d))))
             raise NotAMetric("nonzero diagonal", (i, i))
         bound = low + (1e-9 - 16 * np.finfo(float).eps) * near
-        if _rows_within(d, bound) and (symmetric or _rows_within(d.T, bound)):
+        if _rows_within(d, bound, symmetric):
             return
         _check_triangles(d, scale)
 
@@ -87,14 +87,15 @@ def _check_metric(d):
 _BLOCK = 16
 
 
-def _rows_within(d, bound):
-    """True iff ``max over k >= i0 of |d[i,k] - d[j,k]| <= bound[i,j]`` for all i, and j >= i0.
+def _rows_within(d, bound, later_columns):
+    """True iff ``max over k >= k0 of |d[i,k] - d[j,k]| <= bound[i,j]`` for all i, and j >= i0.
 
-    Here i0 is the first row of i's block; the first failing block stops it.
+    Here i0 is the first row of i's block, and k0 is i0 for ``later_columns``,
+    else 0; the first failing block stops it.
     """
     n = d.shape[0]
     for i0 in range(0, n, _BLOCK):
-        rows = d[i0:, i0:]
+        rows = d[i0:, i0 if later_columns else 0 :]
         if not np.all(cdist(rows[:_BLOCK], rows, "chebyshev") <= bound[i0 : i0 + _BLOCK, i0:]):
             return False
     return True
@@ -176,10 +177,8 @@ class FiniteMetricSystem:
             raise SchemaError("/points", "a system needs at least one point")
         if len(self.labels) != n:
             raise SchemaError("/points", f"expected {n} labels, got {len(self.labels)}")
-        for v in self.map_image:
-            _check_type("/map", v, (int, np.integer))
-        image = tuple(int(v) for v in self.map_image)
-        if len(image) != n or any(not (0 <= v < n) for v in image):
+        image = _point_ids(self.map_image, "/map")
+        if len(image) != n or max(image) >= n:
             raise SchemaError("/map", "map_image must list a valid id for every point")
         object.__setattr__(self, "map_image", image)
 
@@ -215,15 +214,8 @@ class FiniteTrajectory:
     origin: int = 0
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise SchemaError("/entries", "trajectory must be non-empty")
-        for v in dict(zip(map(type, entries), entries)).values():  # one entry per type
-            _check_type("/entries", v, (int, np.integer))
-        if min(entries) < 0:
-            raise SchemaError("/entries", "point ids must be >= 0")
+        object.__setattr__(self, "entries", _point_ids(self.entries, "/entries"))
         _check_type("/origin", self.origin, (int, np.integer))
-        object.__setattr__(self, "entries", tuple(int(v) for v in entries))
 
     @property
     def min_coord(self):
@@ -257,7 +249,7 @@ class IntervalSegment:
 
     def __post_init__(self):
         if self.a >= self.b:
-            raise SchemaError("/segment", f"need a < b, got [{self.a}, {self.b})")
+            raise SchemaError("/b", f"need a < b, got [{self.a}, {self.b})")
         if not self.source.covers(self.a, self.b - 1):
             raise InsufficientWindow(f"source does not cover [{self.a}, {self.b})")
 
@@ -382,13 +374,47 @@ def _check_type(pointer, value, types):
         raise SchemaError(pointer, f"expected {names}, got {type(value).__name__}")
 
 
-def _field(data, key, pointer="", types=None):
-    """``data[key]``, of one of ``types`` if given; else SchemaError at ``pointer/key``."""
-    if not isinstance(data, dict) or key not in data:
-        raise SchemaError(f"{pointer}/{key}", "missing required field")
-    if types:
-        _check_type(f"{pointer}/{key}", data[key], types)
-    return data[key]
+def _point_ids(values, pointer):
+    """``values`` as a non-empty tuple of ints >= 0, each given as an int or a
+    numpy integer (never a bool); else SchemaError at ``pointer``."""
+    ids = tuple(values)
+    if set(map(type, ids)) != {int}:
+        if not ids:
+            raise SchemaError(pointer, "must be non-empty")
+        for v in dict(zip(map(type, ids), ids)).values():  # one entry per type
+            _check_type(pointer, v, (int, np.integer))
+        ids = tuple(map(int, ids))
+    if min(ids) < 0:
+        raise SchemaError(pointer, "point ids must be >= 0")
+    return ids
+
+
+def _object(data, pointer, fields, required=()):
+    """``data``, checked as the JSON object at ``pointer`` (RFC 6901) of ``fields``: name ->
+    (JSON types, takes null).  SchemaError at ``pointer`` if it is no object, else at the
+    field's pointer for an unknown field, a missing one of ``required``, or a wrong type."""
+    if not isinstance(data, dict):
+        raise SchemaError(pointer, f"expected an object, got {type(data).__name__}")
+    for key, value in data.items():
+        at = f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+        if key not in fields:
+            raise SchemaError(at, "unknown field")
+        types, nullable = fields[key]
+        if not (nullable and value is None):
+            _check_type(at, value, types)
+    for key in required:
+        if key not in data:
+            raise SchemaError(f"{pointer}/{key}", "missing required field")
+    return data
+
+
+@contextmanager
+def _under(pointer):
+    """Prefix ``pointer`` to the pointer of a SchemaError raised in the block."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(pointer + exc.pointer, exc.reason) from None
 
 
 def _read_json(path):
@@ -396,46 +422,39 @@ def _read_json(path):
         return json.load(fh)
 
 
-def system_from_dict(data):
-    """Build a system from the JSON system-spec structure.
+#: the fields of a system spec and of its ``metric``, which holds exactly one
+_SYSTEM_SCHEMA = {"points": ((list,), False), "metric": ((dict,), False), "map": ((list,), False)}
+_METRIC_SCHEMA = {"matrix": ((list,), False), "circle_grid": ((int,), False),
+                  "line_grid": ((int,), False)}
+
+
+def system_from_dict(data, pointer=""):
+    """Build a system from the JSON system spec at ``pointer`` ("" for a whole file).
 
     Returns ``(system, clamped)`` where ``clamped`` records whether
     normalization changed any entry.
     """
-    if not isinstance(data, dict):
-        raise SchemaError("", "system spec must be an object")
-    unknown = set(data) - {"points", "metric", "map"}
-    if unknown:
-        raise SchemaError(f"/{sorted(unknown)[0]}", "unknown field")
-    for key in ("points", "metric", "map"):
-        _field(data, key)
-    _check_type("/points", data["points"], (list,))
-    if not data["points"]:
-        raise SchemaError("/points", "a system needs at least one point")
-    _check_type("/map", data["map"], (list,))
-    metric = data["metric"]
-    if not isinstance(metric, dict) or len(metric) != 1:
-        raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")
-    kind, value = next(iter(metric.items()))
-    pointer = f"/metric/{kind}"
-    if kind == "matrix":
-        _check_type(pointer, value, (list,))
-        if not all(isinstance(row, list) and len(row) == len(value[0]) for row in value):
-            raise SchemaError(pointer, "expected a list of rows of one length")
-        if not all(type(v) in (int, float) for row in value for v in row):
-            raise SchemaError(pointer, "entries must be numbers")
-        raw = np.asarray(value, dtype=float)
-    elif kind in ("circle_grid", "line_grid"):
-        _check_type(pointer, value, (int,))
-        if value < 1:
-            raise SchemaError(pointer, "must be >= 1")
-        raw = (_circle_grid_metric if kind == "circle_grid" else _line_grid_metric)(value)
-    else:
-        raise SchemaError(pointer, "unknown metric kind")
-    dist = normalize_metric(raw)
-    clamped = bool(np.any(dist < raw - TOL))
-    system = FiniteMetricSystem(tuple(data["points"]), dist, tuple(data["map"]))
-    return system, clamped
+    with _under(pointer):
+        _object(data, "", _SYSTEM_SCHEMA, _SYSTEM_SCHEMA)
+        if not data["points"]:
+            raise SchemaError("/points", "a system needs at least one point")
+        metric = _object(data["metric"], "/metric", _METRIC_SCHEMA)
+        if len(metric) != 1:
+            raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")
+        (kind, value), = metric.items()
+        if kind == "matrix":
+            if not all(isinstance(row, list) and len(row) == len(value[0]) for row in value):
+                raise SchemaError("/metric/matrix", "expected a list of rows of one length")
+            if not all(type(v) in (int, float) for row in value for v in row):
+                raise SchemaError("/metric/matrix", "entries must be numbers")
+            raw = np.asarray(value, dtype=float)
+        else:
+            if value < 1:
+                raise SchemaError(f"/metric/{kind}", "must be >= 1")
+            raw = (_circle_grid_metric if kind == "circle_grid" else _line_grid_metric)(value)
+        dist = normalize_metric(raw)
+        clamped = bool(np.any(dist < raw - TOL))
+        return FiniteMetricSystem(tuple(data["points"]), dist, tuple(data["map"])), clamped
 
 
 def load_system(path):

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.optimize._highspy._core as _highs
 
 from .chain import _glue
-from .core import TOL, _truncated_max
+from .core import TOL, _point_ids, _truncated_max
 from .errors import (
     DegenerateWeights,
     DepthMismatch,
@@ -128,9 +128,7 @@ class PeriodicOrbitMeasure:
     word: tuple
 
     def __post_init__(self):
-        word = tuple(int(v) for v in self.word)
-        if not word:
-            raise SchemaError("/word", "word must be non-empty")
+        word = _point_ids(self.word, "/word")
         if word[0] != min(word) or len(set(word)) != len(word):
             word = _least_rotation(_primitive_root(word))
         object.__setattr__(self, "word", word)

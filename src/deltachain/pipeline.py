@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, mixing_certificate
-from .core import _check_type, _field, _read_json, load_system, system_from_dict
+from .core import _check_type, _object, _read_json, _under, load_system, system_from_dict
 from .errors import DegenerateWeights, NotMixing, SchemaError
 from .measures import (
     MARGINAL_TOL,
@@ -86,6 +87,7 @@ def _json_types(hint):
 
 #: field name -> (JSON types, takes null), read once from PipelineConfig's annotations
 _CONFIG_SCHEMA = {key: _json_types(hint) for key, hint in typing.get_type_hints(PipelineConfig).items()}
+_TARGET_SCHEMA = {"word": ((list,), False), "weight": ((int, float), False)}
 
 
 @dataclass
@@ -99,25 +101,14 @@ class PipelineReport:
 
 def config_from_dict(data):
     """Strictly validated config; unknown fields are schema errors."""
-    if not isinstance(data, dict):
-        raise SchemaError("", "config must be an object")
-    for key in data:
-        if key not in _CONFIG_SCHEMA:
-            raise SchemaError(f"/{key}", "unknown field")
-    _field(data, "system")
-    for key, (json_types, nullable) in _CONFIG_SCHEMA.items():
-        if key in data and not (nullable and data[key] is None):
-            _check_type(f"/{key}", data[key], json_types)
+    _object(data, "", _CONFIG_SCHEMA, ("system",))
     for key, types in (("eps_list", (int, float)), ("block_scales", (int,))):
         for i, entry in enumerate(data.get(key, ())):
             _check_type(f"/{key}/{i}", entry, types)
     for i, comp in enumerate(data.get("target") or ()):
-        if not isinstance(comp, dict) or set(comp) != {"word", "weight"}:
-            raise SchemaError(f"/target/{i}", "expected {word, weight}")
-        _check_type(f"/target/{i}/word", comp["word"], (list,))
+        _object(comp, f"/target/{i}", _TARGET_SCHEMA, _TARGET_SCHEMA)
         for v in comp["word"]:
             _check_type(f"/target/{i}/word", v, (int,))
-        _check_type(f"/target/{i}/weight", comp["weight"], (int, float))
     kwargs = dict(data)
     if "eps_list" in data:
         kwargs["eps_list"] = tuple(float(e) for e in data["eps_list"])
@@ -139,12 +130,14 @@ def resolve_system(spec):
         return system
     if isinstance(spec, dict) and "builtin" in spec:
         name = spec["builtin"]
-        if name not in BUILTIN_SYSTEMS:
+        if not isinstance(name, str) or name not in BUILTIN_SYSTEMS:
             raise SchemaError("/system/builtin", f"unknown builtin {name!r}")
-        kwargs = {k: v for k, v in spec.items() if k != "builtin"}
-        return BUILTIN_SYSTEMS[name](**kwargs)
-    system, _ = system_from_dict(spec)
-    return system
+        params = inspect.signature(BUILTIN_SYSTEMS[name]).parameters  # the other fields, integers
+        fields = dict.fromkeys(params, ((int,), False)) | {"builtin": ((str,), False)}
+        _object(spec, "/system", fields, [key for key, p in params.items() if p.default is p.empty])
+        with _under("/system"):
+            return BUILTIN_SYSTEMS[name](**{k: v for k, v in spec.items() if k != "builtin"})
+    return system_from_dict(spec, "/system")[0]
 
 
 def _config_hash(cfg):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _glue, is_delta_chain
-from .core import FiniteTrajectory, _windows_within
+from .core import FiniteTrajectory, _point_ids, _windows_within
 from .errors import (
     InsufficientMargin,
     InsufficientSpacing,
@@ -60,7 +60,7 @@ class PeriodicChain:
     origin_offset: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(v) for v in self.word))
+        object.__setattr__(self, "word", _point_ids(self.word, "/word"))
 
     @property
     def period(self):
