@@ -23,12 +23,10 @@ from .chain import (  # noqa: F401
 )
 from .shadowing import (  # noqa: F401
     BesicovitchEstimate,
-    PseudoOrbitReport,
     besicovitch_pi,
     besicovitch_rho,
     equivalence_bound_check,
     hat_rho,
-    validate_pseudo_orbit,
 )
 from .specification import (  # noqa: F401
     PeriodicChain,

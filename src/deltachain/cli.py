@@ -4,9 +4,9 @@ Subcommands mirror the library surface: `generate` writes built-in systems,
 `chain-graph` exports adjacency/DOT, `besicovitch` evaluates trajectory
 pseudometrics, `trace-spec` runs the periodic gluing construction,
 `distances` tabulates pairwise measure distances, `density-demo` and
-`analyze` run the pipeline.  Exit codes: 0 success, 2 schema error, 3 when a
-mixing-requiring command meets a non-mixing graph, 1 on any other library
-error, such as a `distances` table over its pair cap.
+`analyze` run the pipeline.  Exit codes: 0 success, 2 schema error or an
+unreadable input file, 3 when a mixing-requiring command meets a non-mixing
+graph, 1 on any other library error (a `distances` table over its pair cap).
 """
 
 from __future__ import annotations

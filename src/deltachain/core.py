@@ -50,6 +50,12 @@ def _check_metric(d):
     loop, so the fast path accepts nothing the loop would reject.  All else
     (a violation, a slack near the tolerance) goes to the loop, which names
     the witness.
+
+    A negative d[i,i] enters the fast path as 0, so diagonal noise does not
+    send a valid matrix to the loop.  It accepts no more: the pair {i, i}
+    holds d[i,i] >= -(1e-9 - 16 eps), so (i, i, k) and (k, i, i) keep their
+    slack within 1e-9, and (i, k, i), which only column i tests, is tested
+    with 0 >= d[i,i] in place of d[i,i]; a positive d[i,i] stays for it.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -74,11 +80,13 @@ def _check_metric(d):
                 i, j = np.unravel_index(np.nanargmax(asym), asym.shape)
                 raise NotAMetric("not symmetric", (int(i), int(j)))
             low = np.minimum(d, d.T)
-        if np.max(np.abs(np.diag(d))) > 1e-9:
-            i = int(np.argmax(np.abs(np.diag(d))))
+        diag = np.diagonal(d)
+        if np.max(np.abs(diag)) > 1e-9:
+            i = int(np.argmax(np.abs(diag)))
             raise NotAMetric("nonzero diagonal", (i, i))
         bound = low + (1e-9 - 16 * np.finfo(float).eps) * near
-        if _rows_within(d, bound, symmetric):
+        rows = d if diag.min() >= 0 else d - np.diag(np.minimum(diag, 0.0))  # no copy of a 0 diagonal
+        if _rows_within(rows, bound, symmetric):
             return
         _check_triangles(d, scale)
 
@@ -418,8 +426,14 @@ def _under(pointer):
 
 
 def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in the file at ``path``; SchemaError naming the path if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(path, f"cannot read: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, with its position; no text; too deep
+        raise SchemaError(path, f"not JSON: {exc}") from None
 
 
 #: the fields of a system spec and of its ``metric``, which holds exactly one
@@ -438,6 +452,8 @@ def system_from_dict(data, pointer=""):
         _object(data, "", _SYSTEM_SCHEMA, _SYSTEM_SCHEMA)
         if not data["points"]:
             raise SchemaError("/points", "a system needs at least one point")
+        for i, label in enumerate(data["points"]):
+            _check_type(f"/points/{i}", label, (str,))
         metric = _object(data["metric"], "/metric", _METRIC_SCHEMA)
         if len(metric) != 1:
             raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")

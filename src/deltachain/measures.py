@@ -137,12 +137,6 @@ class PeriodicOrbitMeasure:
     def period(self):
         return len(self.word)
 
-    def length_one_marginal(self, n_points):
-        weights = np.zeros(n_points)
-        for u in self.word:
-            weights[u] += 1.0 / self.period
-        return FiniteMeasure(weights)
-
 
 @dataclass(frozen=True)
 class MarkovMeasure:
@@ -170,15 +164,6 @@ class MarkovMeasure:
     @property
     def n(self):
         return self.kernel.shape[0]
-
-    @classmethod
-    def from_periodic(cls, pm):
-        """Deterministic encoding of a periodic orbit: one state per position."""
-        p = pm.period
-        kernel = np.zeros((p, p))
-        for i in range(p):
-            kernel[i, (i + 1) % p] = 1.0
-        return cls(kernel, np.full(p, 1.0 / p))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Pseudo-orbit validation and finite-horizon Besicovitch pseudometrics.
+"""Finite-horizon Besicovitch pseudometrics.
 
 Everything limsup-shaped in the theory is exposed here as a fixed-horizon
 estimate that carries its horizon; no extrapolation to the infinite limit is
@@ -16,93 +16,11 @@ from .errors import BadHorizon
 
 
 @dataclass(frozen=True)
-class PseudoOrbitReport:
-    """Outcome of validating one pseudo-orbit notion on a finite sequence.
-
-    ``witness`` is present iff validation failed: the violating step index for
-    the pointwise kind, the violating (offset, length) window for the average
-    kind, or the violating prefix length for the asymptotic kind.  For the
-    asymptotic kind a passing result is labeled "consistent at horizon" --
-    a finite window can never verify a limit statement.
-    """
-
-    kind: str
-    parameter: float
-    horizon: int
-    passed: bool
-    witness: object = None
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class BesicovitchEstimate:
     value: float
     horizon: int
     variant: str
     error_bar: float = 0.0
-
-
-def validate_pseudo_orbit(seq, sys, kind, delta=0.0, N=1, tolerance_schedule=None):
-    """Validate a finite sequence against one of the pseudo-orbit notions.
-
-    kind = "delta_chain": every step error rho(T x_k, x_(k+1)) <= delta + TOL, ties
-    passing: the edge rule of :func:`~deltachain.chain.build_chain_graph`, so
-    the kind accepts exactly the walks of the delta chain graph.
-    kind = "delta_average": every window average of length n >= N (all offsets)
-    is < delta; a pass is decided in O(steps), and the window loop runs only
-    to name the first violating window or when rounding leaves it undecided.
-    kind = "asymptotic_average": prefix averages over the second half of the
-    horizon fall below the caller-supplied decreasing ``tolerance_schedule``
-    (a callable n -> tolerance); the limit notion fixes no rate, so none is
-    built in.
-    """
-    ids = np.asarray(seq.entries)
-    steps = len(ids) - 1
-    if steps < 1:
-        raise BadHorizon("sequence must contain at least one step")
-    errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
-    prefix = np.concatenate([[0.0], np.cumsum(errors)])
-
-    if kind == "delta_chain":
-        bad = np.nonzero(errors > delta + TOL)[0]
-        if bad.size:
-            j = int(bad[0])
-            return PseudoOrbitReport(kind, delta, steps, False, witness=j)
-        return PseudoOrbitReport(kind, delta, steps, True)
-
-    if kind == "delta_average":
-        if not 1 <= N <= steps:
-            raise BadHorizon(f"need 1 <= N <= {steps}, got N={N}")
-        # A window (i, j], j - i >= N, violates iff Q[j] - Q[i] >= 0 for
-        # Q[k] = P[k] - (delta - TOL) k; its largest value comes from a running
-        # minimum in O(steps).  Below -margin, which bounds the rounding of both
-        # this and the loop's float test, no window violates; otherwise the
-        # loop decides and names the witness.
-        level = delta - TOL
-        q = prefix - level * np.arange(steps + 1)
-        margin = 8 * np.finfo(float).eps * (prefix[-1] + abs(level) * steps)
-        if np.max(q[N:] - np.minimum.accumulate(q[: steps + 1 - N])) < -margin:
-            return PseudoOrbitReport(kind, delta, steps, True)
-        for n in range(N, steps + 1):
-            window_sums = prefix[n:] - prefix[:-n]  # all offsets of length n
-            bad = np.nonzero(window_sums / n >= level)[0]
-            if bad.size:
-                return PseudoOrbitReport(
-                    kind, delta, steps, False, witness=(int(bad[0]), n)
-                )
-        return PseudoOrbitReport(kind, delta, steps, True)
-
-    if kind == "asymptotic_average":
-        if tolerance_schedule is None:
-            raise BadHorizon("asymptotic_average requires a tolerance schedule")
-        for n in range(max(1, steps // 2), steps + 1):
-            if prefix[n] / n >= tolerance_schedule(n) - TOL:
-                return PseudoOrbitReport(kind, 0.0, steps, False, witness=n)
-        return PseudoOrbitReport(
-            kind, 0.0, steps, True, label="consistent at horizon"
-        )
-
-    raise BadHorizon(f"unknown pseudo-orbit kind {kind!r}")
 
 
 def besicovitch_rho(x, y, sys, N):

@@ -15,11 +15,11 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from conftest import from_periodic, length_one_marginal
 from deltachain.builders import circle_doubling, circle_rotation, random_metric
 from deltachain.chain import build_chain_graph, mixing_certificate
 from deltachain.core import TOL, FiniteTrajectory, IntervalSegment
 from deltachain.measures import (
-    MarkovMeasure,
     PeriodicOrbitMeasure,
     ergodic_measures_of_graph,
     hausdorff_distance,
@@ -207,7 +207,7 @@ def test_acceptance_5_rho_bar_oracles():
         wp = tuple(int(v) for v in rng.integers(0, 5, int(rng.integers(1, 5))))
         wq = tuple(int(v) for v in rng.integers(0, 5, int(rng.integers(1, 5))))
         pm, qm = PeriodicOrbitMeasure(wp), PeriodicOrbitMeasure(wq)
-        mu, nu = MarkovMeasure.from_periodic(pm), MarkovMeasure.from_periodic(qm)
+        mu, nu = from_periodic(pm), from_periodic(qm)
         cost = sys5.dist[np.array(pm.word)[:, None], np.array(qm.word)[None, :]]
         upper = rho_bar_markov_upper(mu, nu, cost).value
         value, _ = rho_bar_periodic(pm, qm, sys5.dist)
@@ -226,7 +226,7 @@ def test_acceptance_6_sandwich_inequalities():
             pm, qm = PeriodicOrbitMeasure(wp), PeriodicOrbitMeasure(wq)
             value, _ = rho_bar_periodic(pm, qm, sys.dist)
             lower = w1_distance(
-                pm.length_one_marginal(3), qm.length_one_marginal(3), sys.dist
+                length_one_marginal(pm, 3), length_one_marginal(qm, 3), sys.dist
             ).value
             p, q = pm.period, qm.period
             L = int(np.lcm(p, q))

@@ -21,7 +21,7 @@ from deltachain.chain import (
     to_dot,
     wielandt_bound,
 )
-from deltachain.core import FiniteMetricSystem, FiniteTrajectory, IntervalSegment
+from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, IntervalSegment
 from deltachain.errors import NoChain
 from deltachain.measures import PeriodicOrbitMeasure, sigmund_approximation
 from deltachain.pipeline import config_from_dict, run_pipeline
@@ -508,6 +508,45 @@ class TestIsDeltaChain:
         g = build_chain_graph(circle_doubling(15), 0.2)
         assert is_delta_chain(FiniteTrajectory([0, 3]), g) is True
         assert is_delta_chain(FiniteTrajectory([0, 3, 0]), g) is False
+
+    def test_true_orbit_is_delta_chain_for_any_delta(self):
+        for sys in (circle_doubling(15), random_metric(9, seed=4)):
+            orbit = FiniteTrajectory(sys.orbit(7, 20))
+            for delta in (0.0, 0.01, 0.5, 1.0):  # X_T is the delta = 0 chain system
+                assert is_delta_chain(orbit, build_chain_graph(sys, delta))
+
+    def test_a_corrupted_entry_breaks_the_chain_at_its_step(self):
+        sys = circle_doubling(15)
+        g = build_chain_graph(sys, 0.1)
+        ids = sys.orbit(7, 20)
+        ids[5] = (ids[5] + 7) % 15  # the step 4 -> 5 errs by 7/15
+        assert is_delta_chain(FiniteTrajectory(ids[:5]), g)
+        assert not is_delta_chain(FiniteTrajectory(ids[:6]), g)
+        assert not is_delta_chain(FiniteTrajectory(ids), g)
+
+    def test_equals_the_step_error_rule(self):
+        # a walk is a delta chain iff every step error rho(T(u), v) is <= delta + TOL,
+        # ties included: circle_doubling(15) has step errors of exactly 0.2
+        for sys, delta in ((random_metric(9, seed=2), 0.4), (circle_doubling(15), 0.2)):
+            g = build_chain_graph(sys, delta)
+            rng = np.random.default_rng(0)
+            outcomes = set()
+            for _ in range(300):
+                start = int(rng.integers(0, sys.n))
+                ids = [start, int(rng.choice(g.successors(start)))] + rng.integers(0, sys.n, 4).tolist()
+                errors = [sys.rho(sys.map_image[u], v) for u, v in zip(ids, ids[1:])]
+                got = is_delta_chain(FiniteTrajectory(ids), g)
+                assert got is all(e <= delta + TOL for e in errors)
+                outcomes.add(got)
+            assert outcomes == {True, False}
+
+    def test_readme_walk_is_a_delta_chain(self):
+        sys = circle_doubling(15)
+        g = build_chain_graph(sys, 0.2)
+        traj = FiniteTrajectory(finite_chain(g, 0, 7, 6))
+        errors = [sys.rho(sys.map_image[u], v) for u, v in zip(traj.entries, traj.entries[1:])]
+        assert max(errors) == 0.2  # the last step sits on the threshold
+        assert is_delta_chain(traj, g)
 
 
 def full_table_walk(g, x, y, length):

@@ -2,7 +2,8 @@
 
 Each input below used to run on with a field dropped, or fail with a bare
 Python error or at another pointer; each is now a schema error (exit 2) at
-the field's JSON pointer, before any output is written.
+the field's JSON pointer, or at the path of a file that cannot be read or
+parsed, before any output is written.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from deltachain import cli
 from deltachain.builders import random_metric
 from deltachain.cli import main
-from deltachain.core import FiniteTrajectory, _object, system_from_dict
+from deltachain.core import FiniteMetricSystem, FiniteTrajectory, _object, load_system, system_from_dict
 from deltachain.errors import SchemaError
 from deltachain.measures import PeriodicOrbitMeasure
 from deltachain.pipeline import config_from_dict, resolve_system
@@ -163,6 +164,64 @@ class TestEntryPoints:
         with pytest.raises(SchemaError) as err:
             config_from_dict({"system": "sys.json", "target": target})
         assert err.value.pointer == "/target/0/label"
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read or is no JSON used to end in a traceback, exit 1."""
+
+    def test_missing_system_file(self, tmp_path, capsys):
+        x = write(tmp_path / "x.json", {"entries": [0, 1]})
+        missing = str(tmp_path / "nonexist.json")
+        args = ["besicovitch", "--system", missing, "--x", x, "--y", x, "--horizon", "2"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"schema error: {missing}: cannot read: No such file" in err
+
+    def test_truncated_trajectory_file(self, grid15_file, tmp_path, capsys):
+        x = tmp_path / "x.json"
+        x.write_text('{"entries": [0, 1,')
+        args = ["besicovitch", "--system", grid15_file, "--x", str(x), "--y", str(x), "--horizon", "2"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"schema error: {x}: not JSON: " in err
+        assert "line 1 column 19 (char 18)" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "cfg.json")
+        assert main(["analyze", "--config", missing, "--out", str(out)]) == 2
+        assert f"schema error: {missing}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["no-text", "too-deep"])
+    def test_unparsable_system_file(self, tmp_path, content):
+        path = tmp_path / "sys.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as err:
+            load_system(str(path))
+        assert err.value.pointer == str(path) and err.value.reason.startswith("not JSON")
+
+
+class TestPointLabels:
+    """Labels are JSON strings: an object, a null or a number used to become its str()."""
+
+    @pytest.mark.parametrize("i, label", [(1, {"x": 1}), (1, None), (2, 3)])
+    def test_non_string_label(self, tmp_path, capsys, i, label):
+        points = ["a", "b", "c"]
+        points[i] = label
+        system = {"points": points, "metric": {"circle_grid": 3}, "map": [0, 1, 2]}
+        with pytest.raises(SchemaError) as err:
+            system_from_dict(system)
+        assert err.value.pointer == f"/points/{i}"
+        out = tmp_path / "out"
+        config = write(tmp_path / "cfg.json", {"system": system, "n_max": 2, "period_cap": 2})
+        assert main(["analyze", "--config", config, "--out", str(out)]) == 2
+        assert f"schema error: /system/points/{i}: expected str" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_library_labels_are_still_converted(self):
+        system = FiniteMetricSystem((1, None), np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 0))
+        assert system.labels == ("1", "None")
 
 
 class TestPointIds:

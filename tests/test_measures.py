@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.sparse import block_diag, coo_matrix, csc_matrix, vstack
 
+from conftest import from_periodic, length_one_marginal
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
@@ -110,7 +111,7 @@ class TestPeriodicOrbitMeasure:
 
     def test_length_one_marginal(self):
         m = PeriodicOrbitMeasure((0, 0, 2))
-        marg = m.length_one_marginal(4)
+        marg = length_one_marginal(m, 4)
         assert marg.weights.tolist() == pytest.approx([2 / 3, 0.0, 1 / 3, 0.0])
 
     def test_fast_path_matches_canonical_form(self):
@@ -155,7 +156,7 @@ class TestPeriodicOrbitMeasure:
 class TestMarkovMeasure:
     def test_from_periodic_is_cyclic(self):
         pm = PeriodicOrbitMeasure((0, 1, 2))
-        mm = MarkovMeasure.from_periodic(pm)
+        mm = from_periodic(pm)
         assert mm.n == 3
         assert mm.kernel[0, 1] == 1.0 and mm.kernel[2, 0] == 1.0
         assert mm.stationary.tolist() == pytest.approx([1 / 3] * 3)
@@ -1125,8 +1126,8 @@ class TestRhoBarMarkovUpper:
             wp = tuple(int(v) for v in rng.integers(0, 5, int(rng.integers(1, 4))))
             wq = tuple(int(v) for v in rng.integers(0, 5, int(rng.integers(1, 4))))
             pm, qm = PeriodicOrbitMeasure(wp), PeriodicOrbitMeasure(wq)
-            mu = MarkovMeasure.from_periodic(pm)
-            nu = MarkovMeasure.from_periodic(qm)
+            mu = from_periodic(pm)
+            nu = from_periodic(qm)
             cost = sys.dist[np.array(pm.word)[:, None], np.array(qm.word)[None, :]]
             res = rho_bar_markov_upper(mu, nu, cost)
             value, _ = rho_bar_periodic(pm, qm, sys.dist)
@@ -1136,8 +1137,8 @@ class TestRhoBarMarkovUpper:
         sys = random_metric(4, seed=23)
         pm = PeriodicOrbitMeasure((0, 1))
         qm = PeriodicOrbitMeasure((2, 3, 3))
-        mu = MarkovMeasure.from_periodic(pm)
-        nu = MarkovMeasure.from_periodic(qm)
+        mu = from_periodic(pm)
+        nu = from_periodic(qm)
         cost = sys.dist[np.array(pm.word)[:, None], np.array(qm.word)[None, :]]
         res = rho_bar_markov_upper(mu, nu, cost)
         assert res.lower_bound <= res.value + 1e-9
@@ -1496,7 +1497,7 @@ class TestSigmund:
         gaps = []
         for L in (16, 64, 256):
             approx = sigmund_approximation(target, g, L)
-            got = approx.length_one_marginal(15).weights
+            got = length_one_marginal(approx, 15).weights
             gaps.append(float(np.abs(got - want).sum()))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05

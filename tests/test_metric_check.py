@@ -176,6 +176,41 @@ class TestAgainstTheLoop:
         monkeypatch.setattr(core, "_check_triangles", fail)
         _check_metric(d)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_noise_n300_never_reaches_the_loop(self, monkeypatch, seed):
+        # the noise of the test above on every entry, the diagonal too: a
+        # negative d[j,j] used to fail the pair {i, j} at column j, and each
+        # of these took the loop, about ten times the fast accept's time
+        rng = np.random.default_rng([300, seed])
+        pts = rng.random((300, 3))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        d = d + rng.uniform(-0.45 * TOL, 0.45 * TOL, size=d.shape)
+        assert np.diag(d).min() < 0 < np.diag(d).max()
+        assert outcome(loop_check_metric, d) is None
+        calls = []
+        check_triangles = core._check_triangles
+        monkeypatch.setattr(core, "_check_triangles", lambda *a: calls.append(1) or check_triangles(*a))
+        _check_metric(d)
+        assert calls == []
+
+    def test_diagonal_noise_next_to_coincident_points_matches_the_loop(self):
+        # coincident points and entries within tol of 0: the triples through a
+        # repeated point, the ones the fast accept's diagonal enters, decide
+        rng = np.random.default_rng(19)
+        edge = 1e-9 - 16 * np.finfo(float).eps
+        verdicts = set()
+        for case in range(400):
+            n = int(rng.integers(2, 24))
+            d = euclidean(rng, n)
+            i, j = rng.choice(n, size=2, replace=False)
+            d[j], d[:, j] = d[i], d[:, i]
+            noise = rng.choice([0.0, edge, -edge, 0.45 * TOL, -0.45 * TOL, TOL, -TOL], size=(n, n))
+            d = d + noise * (rng.random((n, n)) < 0.5)
+            expect = outcome(loop_check_metric, d)
+            assert outcome(_check_metric, d) == expect, case
+            verdicts.add(None if expect is None else expect[0])
+        assert {None, "triangle inequality fails"} <= verdicts
+
     def test_violation_seen_only_by_the_transposed_pass(self, monkeypatch):
         # 30 lies on the segment from 0 to 20; raising d[20,0] and lowering
         # d[20,30] and d[30,0] by 0.6 tol each (asymmetric within tol) breaks

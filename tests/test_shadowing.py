@@ -1,10 +1,7 @@
-import time
-
 import numpy as np
 import pytest
 
 from deltachain.builders import circle_doubling, random_metric
-from deltachain.chain import build_chain_graph, finite_chain, is_delta_chain
 from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory, _windows_within
 from deltachain.errors import BadHorizon, InsufficientWindow
 from deltachain.shadowing import (
@@ -12,163 +9,7 @@ from deltachain.shadowing import (
     besicovitch_rho,
     equivalence_bound_check,
     hat_rho,
-    validate_pseudo_orbit,
 )
-
-
-class TestValidatePseudoOrbit:
-    def test_true_orbit_is_delta_chain_for_any_delta(self):
-        sys = circle_doubling(15)
-        orbit = FiniteTrajectory(sys.orbit(7, 20), origin=0)
-        for delta in (0.0, 0.01):  # X_T is the delta = 0 chain system
-            report = validate_pseudo_orbit(orbit, sys, "delta_chain", delta=delta)
-            assert report.passed
-
-    def test_step_error_witness(self):
-        sys = circle_doubling(15)
-        # orbit of 7 with one corrupted entry at index 5
-        ids = sys.orbit(7, 20)
-        ids[5] = (ids[5] + 7) % 15
-        traj = FiniteTrajectory(ids, origin=0)
-        report = validate_pseudo_orbit(traj, sys, "delta_chain", delta=0.1)
-        assert not report.passed
-        assert report.witness in (4, 5)  # the bad entry breaks a step beside it
-
-    def test_chain_graph_agreement(self):
-        # a sequence passes the delta_chain check iff it is a walk of the graph,
-        # ties at delta included: circle_doubling(15) has step errors of exactly 0.2
-        for sys, delta in ((random_metric(9, seed=2), 0.4), (circle_doubling(15), 0.2)):
-            g = build_chain_graph(sys, delta)
-            rng = np.random.default_rng(0)
-            outcomes = set()
-            for _ in range(300):
-                start = int(rng.integers(0, sys.n))
-                ids = [start, int(rng.choice(g.successors(start)))]
-                traj = FiniteTrajectory(ids + rng.integers(0, sys.n, 4).tolist(), origin=0)
-                report = validate_pseudo_orbit(traj, sys, "delta_chain", delta=delta)
-                assert report.passed == is_delta_chain(traj, g)
-                outcomes.add(report.passed)
-            assert outcomes == {True, False}
-
-    def test_readme_walk_is_a_delta_chain(self):
-        sys = circle_doubling(15)
-        g = build_chain_graph(sys, 0.2)
-        traj = FiniteTrajectory(finite_chain(g, 0, 7, 6), origin=0)
-        errors = [sys.rho(sys.map_image[u], v) for u, v in zip(traj.entries, traj.entries[1:])]
-        assert max(errors) == 0.2  # the last step sits on the threshold
-        assert is_delta_chain(traj, g)
-        assert validate_pseudo_orbit(traj, sys, "delta_chain", delta=0.2).passed
-
-    def test_average_kind_tolerates_rare_spikes(self):
-        sys = circle_doubling(15)
-        ids = sys.orbit(7, 40)
-        ids[10] = (ids[10] + 7) % 15  # one large error, small average
-        traj = FiniteTrajectory(ids, origin=0)
-        pointwise = validate_pseudo_orbit(traj, sys, "delta_chain", delta=0.1)
-        averaged = validate_pseudo_orbit(
-            traj, sys, "delta_average", delta=0.1, N=20
-        )
-        assert not pointwise.passed
-        assert averaged.passed
-
-    def test_average_kind_witness_window(self):
-        sys = circle_doubling(15)
-        ids = sys.orbit(7, 10)
-        ids[3] = (ids[3] + 7) % 15
-        traj = FiniteTrajectory(ids, origin=0)
-        report = validate_pseudo_orbit(traj, sys, "delta_average", delta=0.05, N=3)
-        assert not report.passed
-        offset, length = report.witness
-        assert length >= 3
-
-    def test_asymptotic_label(self):
-        sys = circle_doubling(15)
-        orbit = FiniteTrajectory(sys.orbit(3, 30), origin=0)
-        report = validate_pseudo_orbit(
-            orbit, sys, "asymptotic_average", tolerance_schedule=lambda n: 1.0 / n
-        )
-        assert report.passed
-        assert report.label == "consistent at horizon"
-
-    def test_asymptotic_witness_is_the_first_prefix_over_its_tolerance(self):
-        sys = circle_doubling(15)
-        ids = sys.orbit(3, 31)  # 30 steps: prefixes n = 15 .. 30 are checked
-        ids[20] = (ids[20] + 1) % 15  # step 19 -> 20 errs by 1/15; prefixes n < 20 are 0
-        orbit = FiniteTrajectory(ids, origin=0)
-        report = validate_pseudo_orbit(
-            orbit, sys, "asymptotic_average", tolerance_schedule=lambda n: 1e-3
-        )
-        assert not report.passed
-        assert report.witness == 20
-
-    def test_asymptotic_requires_schedule(self):
-        sys = circle_doubling(15)
-        orbit = FiniteTrajectory(sys.orbit(3, 10), origin=0)
-        with pytest.raises(BadHorizon):
-            validate_pseudo_orbit(orbit, sys, "asymptotic_average")
-
-    def test_unknown_kind(self):
-        sys = circle_doubling(15)
-        orbit = FiniteTrajectory(sys.orbit(3, 10), origin=0)
-        with pytest.raises(BadHorizon):
-            validate_pseudo_orbit(orbit, sys, "bogus")
-
-
-def loop_delta_average(seq, sys, delta, N):
-    """Reference: every window length n >= N at every offset; (passed, witness)."""
-    ids = np.asarray(seq.entries)
-    errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
-    prefix = np.concatenate([[0.0], np.cumsum(errors)])
-    for n in range(N, len(ids)):
-        bad = np.nonzero((prefix[n:] - prefix[:-n]) / n >= delta - TOL)[0]
-        if bad.size:
-            return False, (int(bad[0]), n)
-    return True, None
-
-
-class TestDeltaAverageBounded:
-    """The O(steps) existence check decides as the window loop does."""
-
-    def max_window_average(self, seq, sys, N):
-        ids = np.asarray(seq.entries)
-        errors = sys.dist[np.asarray(sys.map_image)[ids[:-1]], ids[1:]]
-        prefix = np.concatenate([[0.0], np.cumsum(errors)])
-        return max(((prefix[n:] - prefix[:-n]) / n).max() for n in range(N, len(ids)))
-
-    def test_random_and_near_tight_match_the_loop(self):
-        rng = np.random.default_rng(5)
-        outcomes = set()
-        for trial in range(60):
-            sys = random_metric(9, seed=trial) if trial % 2 else circle_doubling(16)
-            ids = sys.orbit(int(rng.integers(0, sys.n)), int(rng.integers(4, 120)))
-            for k in rng.integers(0, len(ids), int(rng.integers(0, 4))):
-                ids[k] = int(rng.integers(0, sys.n))
-            seq = FiniteTrajectory(ids, origin=0)
-            N = int(rng.integers(1, len(ids)))
-            top = self.max_window_average(seq, sys, N)
-            deltas = [rng.random(), top, top + TOL, np.nextafter(top + TOL, 2.0), top + 2 * TOL]
-            for delta in deltas:
-                report = validate_pseudo_orbit(seq, sys, "delta_average", delta=delta, N=N)
-                passed, witness = loop_delta_average(seq, sys, delta, N)
-                assert (report.passed, report.witness) == (passed, witness)
-                outcomes.add(passed)
-        assert outcomes == {True, False}
-
-    def test_long_sequence_is_decided_in_linear_time(self):
-        # the window loop scans all 10^5 lengths here: about 15 s
-        sys = circle_doubling(15)
-        ids = sys.orbit(7, 100_001)
-        for k in range(500, len(ids), 997):
-            ids[k] = (ids[k] + 7) % 15
-        seq = FiniteTrajectory(ids, origin=0)
-        start = time.perf_counter()
-        report = validate_pseudo_orbit(seq, sys, "delta_average", delta=0.2, N=20)
-        assert time.perf_counter() - start < 2.0
-        assert report.passed and report.horizon == 100_000
-        # a violation is still found by the loop, with its witness
-        report = validate_pseudo_orbit(seq, sys, "delta_average", delta=0.02, N=20)
-        assert (report.passed, report.witness) == loop_delta_average(seq, sys, 0.02, 20)
-        assert not report.passed
 
 
 class TestBesicovitchRho:
