@@ -459,8 +459,8 @@ def system_from_dict(data, pointer=""):
             raise SchemaError("/metric", "expected exactly one of matrix/circle_grid/line_grid")
         (kind, value), = metric.items()
         if kind == "matrix":
-            if not all(isinstance(row, list) and len(row) == len(value[0]) for row in value):
-                raise SchemaError("/metric/matrix", "expected a list of rows of one length")
+            if not value or not all(isinstance(row, list) and len(row) == len(value) for row in value):
+                raise SchemaError("/metric/matrix", "expected a non-empty square list of rows")
             if not all(type(v) in (int, float) for row in value for v in row):
                 raise SchemaError("/metric/matrix", "entries must be numbers")
             raw = np.asarray(value, dtype=float)

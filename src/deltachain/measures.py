@@ -12,7 +12,9 @@ column-wise arrays written directly, with no scipy.sparse matrix, and
 returns the row duals with the optimum.  A transport block with more than
 ``_SHORTLIST`` = 16 points on both sides starts on a cost shortlist, and
 further cells are added as those duals price them in, until none is left
-with a negative reduced cost: the result is the full LP's optimum.
+with a negative reduced cost: the result is the full LP's optimum.  Priced
+solves use Devex dual edge weights, and unpriced solves keep linprog's
+options and bits.
 
 The library's tolerances, and what each guards:
 
@@ -63,7 +65,16 @@ MARGINAL_TOL = 1e-9
 _GATHER_FLOATS = 1 << 21  # floats one _phase_scan chunk may hold at once, ids included (16 MB)
 _FRONTIER_CELLS = 1 << 18  # bound on one simple_cycle_words block (2 MB of ids)
 _SHORTLIST = 16  # cheapest cells per row and per column a large transport block starts on
-_PRIMAL = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+_SIMPLEX = _highs.simplex_constants
+_PRIMAL = int(_SIMPLEX.SimplexStrategy.kSimplexStrategyPrimal)
+# linprog(method="highs", options={"presolve": False})'s options away from HiGHS's defaults
+_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "off"),
+    ("simplex_strategy", int(_SIMPLEX.SimplexStrategy.kSimplexStrategyDual)),
+)
+_DEVEX = (("simplex_dual_edge_weight_strategy", int(_SIMPLEX.kSimplexEdgeWeightStrategyDevex)),)
 
 
 @dataclass(frozen=True)
@@ -191,27 +202,27 @@ def _solve(c, a_eq, b_eq, what, price=None):
     are the same bits: presolve off (these LPs are small, and each transport
     block is cut to its mass support by :func:`_transport_lps`), the dual
     simplex strategy, no log output.  Every other option, the 1e-7
-    feasibility tolerances included, is HiGHS's default.  After each optimal
-    run the row duals y (reduced cost c_j - a_j @ y) go to ``price``; if it
-    returns ``(c, start, index, value)`` of new columns, they are appended
-    with ``addCols`` and the LP runs again from the current basis with the
-    primal simplex, until ``price`` returns None.  ``x`` covers every column
-    in order, appended ones last.  The model status is checked after every
-    run: an iteration limit raises :class:`SolverIterationCap`; a length
-    mismatch, a rejected model or any other status than optimal raises
-    :class:`Infeasible` naming it.
+    feasibility tolerances included, is HiGHS's default.  Priced solves use
+    Devex dual edge weights (Harris, Math. Programming 5, 1973) in place of
+    HiGHS's default dual steepest edge, fewer and cheaper iterations on
+    shortlisted transport blocks; unpriced solves keep linprog's options and
+    bits.  After each optimal run the row duals y (reduced cost c_j - a_j @ y)
+    go to ``price``; if it returns ``(c, start, index, value)`` of new
+    columns, they are appended with ``addCols`` and the LP runs again from
+    the current basis with the primal simplex, until ``price`` returns None.  ``x`` covers every column in
+    order, appended ones last.  The model status is checked after every run:
+    an iteration limit raises :class:`SolverIterationCap`; a length
+    mismatch, a rejected option or model or any other status than optimal
+    raises :class:`Infeasible` naming it.
     """
     n_rows, start, index, value = a_eq
     n_cols = len(c)
     if len(b_eq) != n_rows or not _fits(n_cols, start, index, value):
         raise Infeasible(f"{what} LP: HiGHS rejected the model")
-    options = _highs.HighsOptions()
-    options.presolve = "off"
-    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.output_flag = options.log_to_console = False
     highs = _highs._Highs()
-    if highs.passOptions(options) == _highs.HighsStatus.kError:
-        raise Infeasible(f"{what} LP: HiGHS rejected its options")
+    for name, setting in _OPTIONS + (_DEVEX if price else ()):
+        if highs.setOptionValue(name, setting) != _highs.HighsStatus.kOk:
+            raise Infeasible(f"{what} LP: HiGHS rejected its options")
     # sizes, column-wise (1), minimize (1), offset 0; costs, bounds, CSC arrays, no integers
     bounds = (np.zeros(n_cols), np.full(n_cols, _highs.kHighsInf), b_eq, b_eq)
     model = (n_cols, n_rows, len(index), 1, 1, 0.0, c, *bounds, start, index, value)
@@ -236,8 +247,7 @@ def _solve(c, a_eq, b_eq, what, price=None):
         if not _fits(n, start, index, value) or highs.addCols(*added) == _highs.HighsStatus.kError:
             raise Infeasible(f"{what} LP: HiGHS rejected the priced columns")
         highs.setOptionValue("simplex_strategy", _PRIMAL)
-    objective = highs.getInfo().objective_function_value
-    return np.array(solution.col_value), objective, row_dual
+    return np.array(solution.col_value), highs.getObjectiveValue(), row_dual
 
 
 def _transport_csc(cells, n1, n2):
@@ -279,8 +289,8 @@ def _shortlist(a, b, cost):
     if min(cost.shape) <= k:
         return np.ones(cost.shape, dtype=bool)
     keep = np.zeros(cost.shape, dtype=bool)
-    np.put_along_axis(keep, np.argpartition(cost, k - 1, axis=1)[:, :k], True, axis=1)
-    np.put_along_axis(keep, np.argpartition(cost, k - 1, axis=0)[:k], True, axis=0)
+    for mask, lanes in ((keep, cost), (keep.T, np.ascontiguousarray(cost.T))):  # rows, then columns
+        mask[np.arange(len(lanes))[:, None], np.argpartition(lanes, k - 1, axis=1)[:, :k]] = True
     keep[_northwest_corner(a, b)] = True
     return keep
 
@@ -326,11 +336,13 @@ def _transport_lps(problems):
     cell with c_ij - u_i - v_j < 0 is added, with no tolerance, and the LP
     runs again, until no such cell is left.  That is the full LP's dual
     feasibility on every cell HiGHS did not see, so the optimum is the full
-    LP's.  The solution is scattered back in the LP's column order; each
-    block's plan is a zero plan of the full shape holding its cells.  A plan
-    that misses its marginals by more than ``MARGINAL_TOL`` is repaired by
-    :func:`_round_to_marginals`, and the repaired plan is checked again.  The
-    value is ``cost @ plan``.  Returns one :class:`CouplingResult` per problem.
+    LP's.  The solution is scattered back in the LP's column order; a block
+    on its full support reads its plan from it as it stands, with no gather
+    or scatter, and any other block's plan is a zero plan of the full shape
+    holding its cells.  A plan that misses its marginals by more than
+    ``MARGINAL_TOL`` is repaired by :func:`_round_to_marginals`, and the
+    repaired plan is checked again.  The value is ``cost @ plan``.  Returns
+    one :class:`CouplingResult` per problem.
     """
     blocks, b_eq, supports, order, n_rows, n_cells = [], [], [], [], 0, 0
     for a, b, cost in problems:
@@ -338,18 +350,20 @@ def _transport_lps(problems):
         if a.shape != (n1,) or b.shape != (n2,):
             raise SchemaError("/cost", "cost shape must match the two marginals")
         i, j = np.flatnonzero(a), np.flatnonzero(b)
-        supports.append((i, j, n_cells))
-        if len(i) and len(j):
-            block = cost[np.ix_(i, j)]
-            blocks.append((block, n_rows, n_cells, _shortlist(a[i], b[j], block)))
-            b_eq += [a[i], b[j[:-1]]]
-            n_rows += len(i) + len(j) - 1
-            n_cells += block.size
+        support = None if len(i) == n1 and len(j) == n2 else (i, j)
+        supports.append((support, n_cells))
+        if support:
+            a, b, cost = a[i], b[j], cost[np.ix_(i, j)]
+        if cost.size:
+            blocks.append((cost, n_rows, n_cells, _shortlist(a, b, cost)))
+            b_eq += [a, b[:-1]]
+            n_rows += sum(cost.shape) - 1
+            n_cells += cost.size
 
     def columns(picked):
         """``(c, start, index, value)`` of each block's picked cells; their ids go to ``order``."""
         cells = np.concatenate(picked)
-        n1, n2, row, lo = (np.repeat(v, [len(p) for p in picked]) for v in np.transpose(layout))
+        n1, n2, row, lo = np.repeat(layout, [len(p) for p in picked], axis=1)
         start, index = _transport_csc(cells, n1, n2)
         index += np.repeat(row, np.diff(start))
         order.append(lo + cells)
@@ -361,24 +375,31 @@ def _transport_lps(problems):
         for block, row, _, seen in blocks:
             n1, n2 = block.shape
             u, v = row_dual[row : row + n1], np.append(row_dual[row + n1 : row + n1 + n2 - 1], 0)
-            new = ~seen & (block - u[:, None] - v < 0)
+            new = (block - u[:, None] < v) & ~seen  # c - u - v < 0, with one rounding fewer
             seen |= new
             picked.append(np.flatnonzero(new))
         return columns(picked) if any(len(cells) for cells in picked) else None
 
     x = np.zeros(n_cells)
     if blocks:
-        layout = [(*block.shape, row, lo) for block, row, lo, _ in blocks]
+        layout = np.array([(*block.shape, row, lo) for block, row, lo, _ in blocks]).T
         costs = np.concatenate([block.ravel() for block, *_ in blocks])
         c, *a_eq = columns([np.flatnonzero(seen) for *_, seen in blocks])
-        full = all(seen.all() for *_, seen in blocks)
+        whole = all(seen.all() for *_, seen in blocks)  # then ``order`` is every cell in turn
         b_eq = np.concatenate(b_eq)
-        found, _, _ = _solve(c, (n_rows, *a_eq), b_eq, "transport", None if full else price)
-        x[np.concatenate(order)] = found
+        found, _, _ = _solve(c, (n_rows, *a_eq), b_eq, "transport", None if whole else price)
+        if whole:
+            x = found
+        else:
+            x[np.concatenate(order)] = found
     out = []
-    for (a, b, cost), (i, j, lo) in zip(problems, supports):
-        plan = np.zeros(cost.shape)
-        plan[np.ix_(i, j)] = x[lo : lo + len(i) * len(j)].reshape(len(i), len(j))
+    for (a, b, cost), (support, lo) in zip(problems, supports):
+        if support:
+            i, j = support
+            plan = np.zeros(cost.shape)
+            plan[np.ix_(i, j)] = x[lo : lo + len(i) * len(j)].reshape(len(i), len(j))
+        else:
+            plan = x[lo : lo + cost.size].reshape(cost.shape)
         if _marginal_gap(plan, a, b) > MARGINAL_TOL:
             plan = _round_to_marginals(plan, a, b)
             if _marginal_gap(plan, a, b) > MARGINAL_TOL:

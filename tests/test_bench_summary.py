@@ -90,8 +90,9 @@ class TestBenchSummary:
         assert bench_summary.main(args + ["--out", str(tmp_path / "bench.json")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "  beyond bound: none"
-        assert lines[3] == "  beyond bound: op_ms.p50, ops_per_s"
-        assert lines[5] == "  beyond bound: none"
+        assert lines[5] == "  beyond bound: op_ms.p50, ops_per_s"
+        assert lines[9] == "  beyond bound: none"
+        assert lines[10] == "  gain shown: op_ms.p50, ops_per_s"  # one pair, won, parent q3 - q1 0
 
     def test_no_common_run_is_an_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -101,3 +102,52 @@ class TestBenchSummary:
         args = ["--parent", parent, "--change", str(empty), "--out", str(out)]
         assert bench_summary.main(args) == 1
         assert not out.exists()
+
+
+def summary_of(tmp_path, parent_p50s, change_p50s, bound=0.25):
+    """The op_ms.p50 summary of one workload over seeds 1, 2, ... of the given pairs."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(parents=True)
+    change.mkdir()
+    for seed, (p, c) in enumerate(zip(parent_p50s, change_p50s), start=1):
+        write_run(parent, "transport", seed, p, 1000.0 / p, "a")
+        write_run(change, "transport", seed, c, 1000.0 / c, "b")
+    summary = bench_summary.summarize(
+        bench_summary.load_runs(str(parent)), bench_summary.load_runs(str(change)),
+        {"op_ms.p50": ("lower", bound)},
+    )
+    return summary["transport"]["metrics"]["op_ms.p50"]
+
+
+class TestClaimFlags:
+    """``gain_shown`` and ``unresolved`` on ten pairs."""
+
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]  # q3 - q1 = 0.9
+
+    def test_nine_wins_and_a_gap_beyond_the_parent_spread_show_a_gain(self, tmp_path):
+        change = [p - 1.0 for p in self.parent[:9]] + [12.0]  # 9 wins, median 1.0 lower
+        m = summary_of(tmp_path, self.parent, change)
+        assert m["change_wins"] == 9 and m["parent_iqr"] == pytest.approx(0.9)
+        assert m["gain_shown"] and not m["unresolved"]
+
+    def test_eight_wins_show_no_gain(self, tmp_path):
+        change = [p - 1.0 for p in self.parent[:8]] + [12.0, 12.0]
+        m = summary_of(tmp_path, self.parent, change)
+        assert m["change_wins"] == 8 and not m["gain_shown"]
+
+    def test_a_gap_within_the_parent_spread_shows_no_gain(self, tmp_path):
+        change = [p - 0.5 for p in self.parent]  # 10 wins, median 0.5 lower
+        m = summary_of(tmp_path, self.parent, change)
+        assert m["change_wins"] == 10 and not m["gain_shown"]
+
+    def test_a_parent_spread_beyond_the_bound_is_unresolved(self, tmp_path):
+        parent = [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]  # q3 - q1 4.5 > 3.1
+        change = [p + 0.5 if k % 2 else p - 0.5 for k, p in enumerate(parent)]
+        m = summary_of(tmp_path, parent, change)
+        assert m["unresolved"] and not m["beyond_bound"]
+        assert not summary_of(tmp_path / "bound", parent, change, bound=0.5)["unresolved"]
+
+    def test_every_change_run_better_resolves_a_wide_spread(self, tmp_path):
+        parent = [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
+        m = summary_of(tmp_path, parent, [7.9] * 10)
+        assert not m["unresolved"] and m["gain_shown"]

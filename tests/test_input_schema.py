@@ -122,6 +122,13 @@ class TestEntryPoints:
             ({"builtin": "circle-doubling", "n": 0}, "/system/n"),  # was /points
             ({"builtin": "random-metric", "n": 0}, "/system/n"),
             ({"builtin": ["circle-doubling"], "n": 5}, "/system/builtin"),  # bare TypeError
+            # was NotAMetric "matrix is not square", exit 1 with no pointer
+            ({"points": ["a"], "metric": {"matrix": []}, "map": [0]}, "/system/metric/matrix"),
+            ({"points": ["a"], "metric": {"matrix": [[0, 1]]}, "map": [0]}, "/system/metric/matrix"),
+            (
+                {"points": ["a", "b"], "metric": {"matrix": [[0, 1, 1], [1, 0, 1]]}, "map": [0, 1]},
+                "/system/metric/matrix",
+            ),
         ],
     )
     def test_config_system(self, tmp_path, capsys, system, pointer):
@@ -158,6 +165,22 @@ class TestEntryPoints:
         with pytest.raises(SchemaError) as err:
             system_from_dict({"points": ["a"], "metric": {"ring": 1}, "map": [0]}, "/system")
         assert err.value.pointer == "/system/metric/ring"
+
+    @pytest.mark.parametrize("matrix", [[], [[0, 1]], [[0, 1, 1], [1, 0, 1]]])
+    def test_non_square_matrix_file(self, tmp_path, capsys, matrix):
+        # was NotAMetric "matrix is not square": exit 1 and no pointer
+        points = ["a", "b"][: max(len(matrix), 1)]
+        system = write(
+            tmp_path / "sys.json",
+            {"points": points, "metric": {"matrix": matrix}, "map": [0] * len(points)},
+        )
+        with pytest.raises(SchemaError) as err:
+            load_system(system)
+        assert err.value.pointer == "/metric/matrix"
+        out = tmp_path / "graph.json"
+        assert main(["chain-graph", "--system", system, "--delta", "0.5", "--out", str(out)]) == 2
+        assert "schema error: /metric/matrix:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_target_entry_with_an_unknown_field(self):
         target = [{"word": [0], "weight": 1.0, "label": "fixed point"}]

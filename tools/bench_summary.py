@@ -14,7 +14,12 @@ the file holds the median and quartiles (inclusive method) over the runs
 of each side, the change's wins over its pairs (ties count for neither
 side), the median gap, the parent's q3 - q1, the metric's ``bound`` and
 ``beyond_bound``: whether the change's median is worse than the parent's
-by more than bound x the parent's median.  The seeds, the runs'
+by more than bound x the parent's median.  Two flags follow the rules for
+a claim on paired runs: ``gain_shown``, the change wins at least 9/10 of
+the pairs and its median is better than the parent's by more than the
+parent's q3 - q1; and ``unresolved``, the parent's q3 - q1 is more than
+bound x the parent's median and not every change run beats every parent
+run.  The seeds, the runs'
 ``git_commit`` (null outside a git checkout) and ``src_sha256``, their
 length in seconds and the Python, numpy and scipy versions are recorded
 too.  Standard library only.
@@ -73,15 +78,22 @@ def summarize(parent_runs, change_runs, metrics):
             pairs = list(zip(values["parent"], values["change"]))
             stats = {side: spread(vals) for side, vals in values.items()}
             parent, change = stats["parent"]["median"], stats["change"]["median"]
+            wins = sum(sign * (c - p) > 0 for p, c in pairs)
+            iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+            every_run_better = min(sign * c for c in values["change"]) > max(
+                sign * p for p in values["parent"]
+            )
             entry["metrics"][name] = {
                 "better": better,
                 **stats,
-                "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
+                "change_wins": wins,
                 "parent_wins": sum(sign * (c - p) < 0 for p, c in pairs),
                 "median_gap": change - parent,
-                "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+                "parent_iqr": iqr,
                 "bound": bound,
                 "beyond_bound": sign * (parent - change) > bound * parent,
+                "gain_shown": 10 * wins >= 9 * len(pairs) and sign * (change - parent) > iqr,
+                "unresolved": iqr > bound * abs(parent) and not every_run_better,
                 "parent_runs": values["parent"],
                 "change_runs": values["change"],
             }
@@ -125,8 +137,9 @@ def main(argv=None):
             f"{workload}: {entry['pairs']} pairs, op_ms.p50 {p50['parent']['median']:.2f} -> "
             f"{p50['change']['median']:.2f} ms, change wins {p50['change_wins']}/{entry['pairs']}"
         )
-        beyond = [name for name, m in entry["metrics"].items() if m["beyond_bound"]]
-        print(f"  beyond bound: {', '.join(beyond) or 'none'}")
+        for flag in ("beyond_bound", "gain_shown", "unresolved"):
+            names = [name for name, m in entry["metrics"].items() if m[flag]]
+            print(f"  {flag.replace('_', ' ')}: {', '.join(names) or 'none'}")
     return 0
 
 
