@@ -4,16 +4,17 @@ Two measure classes are implemented: uniform measures on periodic shift
 orbits (the exact arithmetic of the theory) and 1-step Markov measures
 (enough to represent mixtures and generic measures on the SFT-like chain
 graphs).  Transport values are HiGHS floating-point LP optima, feasible to
-1e-7, not exact; the d-bar-type value between non-periodic measures is
-only ever exposed as an (upper, lower) bound pair.  Every LP is one call
-of :func:`_solve`, which hands the model to scipy's bundled HiGHS bindings
-(the solver ``linprog(method="highs")`` runs, without its wrapper) as
-column-wise arrays written directly, with no scipy.sparse matrix, and
-returns the row duals with the optimum.  A transport block with more than
-``_SHORTLIST`` = 16 points on both sides starts on a cost shortlist, and
-further cells are added as those duals price them in, until none is left
-with a negative reduced cost: the result is the full LP's optimum.  Priced
-solves use Devex dual edge weights, and unpriced solves keep linprog's
+1e-7 (1e-10 on priced solves), not exact; the d-bar-type value between
+non-periodic measures is only ever exposed as an (upper, lower) bound
+pair.  Every LP is one call of :func:`_solve`, which hands the model to
+scipy's bundled HiGHS bindings (the solver ``linprog(method="highs")``
+runs, without its wrapper) as column-wise arrays written directly, with no
+scipy.sparse matrix, and returns the row duals with the optimum.  A
+transport block with more than ``_SHORTLIST`` = 16 points on both sides
+starts on a cost shortlist, and further cells are added as those duals
+price them in, until none is left with a negative reduced cost: the result
+is the full LP's optimum.  Priced solves use Devex dual edge weights and a
+1e-10 primal feasibility tolerance, and unpriced solves keep linprog's
 options and bits.
 
 The library's tolerances, and what each guards:
@@ -35,6 +36,9 @@ metric check (core)         1e-9   ``_check_metric``'s entries; asymmetry and
                                    its phase-0 bound
 HiGHS feasibility           1e-7   primal and dual feasibility of each LP
                                    optimum (the solver's default)
+priced primal feasibility   1e-10  each priced solve's rows, below
+                                   ``MARGINAL_TOL``, so a plan does not leave
+                                   a row of mass under 1e-7 unmet
 pricing stop (here)         0      reduced cost c_ij - u_i - v_j >= 0 on every
                                    transport cell left out of the LP, with no
                                    tolerance: the full LP's dual feasibility
@@ -74,7 +78,11 @@ _OPTIONS = (
     ("presolve", "off"),
     ("simplex_strategy", int(_SIMPLEX.SimplexStrategy.kSimplexStrategyDual)),
 )
-_DEVEX = (("simplex_dual_edge_weight_strategy", int(_SIMPLEX.kSimplexEdgeWeightStrategyDevex)),)
+# added on priced solves: Devex dual edge weights, and rows met to HiGHS's tightest tolerance
+_PRICED = (
+    ("simplex_dual_edge_weight_strategy", int(_SIMPLEX.kSimplexEdgeWeightStrategyDevex)),
+    ("primal_feasibility_tolerance", 1e-10),
+)
 
 
 @dataclass(frozen=True)
@@ -205,22 +213,25 @@ def _solve(c, a_eq, b_eq, what, price=None):
     feasibility tolerances included, is HiGHS's default.  Priced solves use
     Devex dual edge weights (Harris, Math. Programming 5, 1973) in place of
     HiGHS's default dual steepest edge, fewer and cheaper iterations on
-    shortlisted transport blocks; unpriced solves keep linprog's options and
-    bits.  After each optimal run the row duals y (reduced cost c_j - a_j @ y)
-    go to ``price``; if it returns ``(c, start, index, value)`` of new
-    columns, they are appended with ``addCols`` and the LP runs again from
-    the current basis with the primal simplex, until ``price`` returns None.  ``x`` covers every column in
-    order, appended ones last.  The model status is checked after every run:
-    an iteration limit raises :class:`SolverIterationCap`; a length
-    mismatch, a rejected option or model or any other status than optimal
-    raises :class:`Infeasible` naming it.
+    shortlisted transport blocks, and a 1e-10 primal feasibility tolerance,
+    HiGHS's tightest: at 1e-7 an optimal basis may leave a row whose mass is
+    below 1e-7 unmet; unpriced solves keep linprog's options and bits.
+    After each optimal run the row duals y (reduced cost c_j - a_j @ y) go to
+    ``price``; if it returns ``(c, start, index, value)`` of new columns,
+    they are appended with ``addCols`` and the LP runs again from the
+    current basis with the primal simplex, until ``price`` returns None.
+    ``x`` covers every column in order, appended ones last.  The model
+    status is checked after every run: an iteration limit raises
+    :class:`SolverIterationCap`; a length mismatch, a rejected option or
+    model or any other status than optimal raises :class:`Infeasible`
+    naming it.
     """
     n_rows, start, index, value = a_eq
     n_cols = len(c)
     if len(b_eq) != n_rows or not _fits(n_cols, start, index, value):
         raise Infeasible(f"{what} LP: HiGHS rejected the model")
     highs = _highs._Highs()
-    for name, setting in _OPTIONS + (_DEVEX if price else ()):
+    for name, setting in _OPTIONS + (_PRICED if price else ()):
         if highs.setOptionValue(name, setting) != _highs.HighsStatus.kOk:
             raise Infeasible(f"{what} LP: HiGHS rejected its options")
     # sizes, column-wise (1), minimize (1), offset 0; costs, bounds, CSC arrays, no integers
@@ -412,9 +423,9 @@ def w1_distance(mu, nu, cost):
     """Optimal-transport value between two finite distributions.
 
     The one-problem case of :func:`_transport_lps`, shortlist and pricing
-    included.  Value ``c @ x``: a floating-point optimum, feasible to 1e-7.
-    A plan that misses a marginal by more than 1e-9 is repaired onto both,
-    and the repaired plan is what gets checked.
+    included.  Value ``c @ x``: a floating-point optimum, feasible to 1e-7
+    (1e-10 when priced).  A plan that misses a marginal by more than 1e-9
+    is repaired onto both, and the repaired plan is what gets checked.
     """
     a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]

@@ -374,8 +374,9 @@ class TestPlanRepair:
     """A HiGHS plan off its marginals by more than ``MARGINAL_TOL`` is rounded onto them."""
 
     def test_skewed_masses_are_repaired_not_rejected(self, monkeypatch):
-        # Dirichlet(0.1) masses: HiGHS's plans miss a marginal by up to its 1e-7
-        # feasibility tolerance, and these problems raised Infeasible before the repair
+        # Dirichlet(0.1) masses: unpriced plans miss a marginal by up to HiGHS's
+        # default 1e-7 feasibility tolerance, and these problems raised Infeasible
+        # before the repair; priced (40 x 50) plans meet theirs to 1e-10 unrepaired
         repaired, real = [], measures._round_to_marginals
 
         def recording(*args):
@@ -397,7 +398,7 @@ class TestPlanRepair:
                     assert res.plan.min() >= 0.0 and np.abs(gaps).max() <= 1e-12
                 else:
                     assert np.abs(gaps).max() <= measures.MARGINAL_TOL
-            assert len(repaired) > count
+            assert (len(repaired) > count) == (min(shape) <= measures._SHORTLIST)
 
     def test_plan_within_tolerance_is_left_alone(self, monkeypatch):
         calls = []
@@ -807,12 +808,16 @@ class TestHighsBindings:
         assert row_dual is duals[-1]
         assert np.array_equal(x, [0.0, 0.0, 0.5, 0.5]) and value == 0.0
 
-    def test_devex_dual_edge_weights_are_accepted(self):
+    def test_priced_options_are_accepted(self):
         highs = measures._highs._Highs()
         assert highs.setOptionValue("output_flag", False) == measures._highs.HighsStatus.kOk
-        status = highs.setOptionValue("simplex_dual_edge_weight_strategy", 1)
-        assert status == measures._highs.HighsStatus.kOk, "no Devex dual edge weights"
-        assert measures._DEVEX == (("simplex_dual_edge_weight_strategy", 1),)
+        assert measures._PRICED == (
+            ("simplex_dual_edge_weight_strategy", 1),
+            ("primal_feasibility_tolerance", 1e-10),
+        )
+        for name, setting in measures._PRICED:
+            status = highs.setOptionValue(name, setting)
+            assert status == measures._highs.HighsStatus.kOk, f"HiGHS rejects {name}={setting}"
         assert hasattr(highs, "getObjectiveValue"), "scipy's HiGHS bindings lack getObjectiveValue"
 
 
@@ -853,9 +858,14 @@ def priced_problems(rng, alpha, count):
 
     Up to 3 points a side get exact-zero mass (17 keep theirs) and costs are
     integers in 0-3, so there are ties and degenerate optima.  Each comes with
-    the dense HiGHS oracle over every cell and every row and column sum, and
-    the c-transform lower bound a @ u + b @ v of the oracle's row duals u.
+    the value of a dense HiGHS solve over every cell and every row and column
+    sum, at HiGHS's tightest feasibility tolerances: at the default 1e-7 a
+    Dirichlet(0.1) plan leaves rows of mass under 1e-7 unmet, and its value
+    is off by up to 1e-7.  The oracle's plan meets its marginals within
+    ``MARGINAL_TOL`` and its value is within 1e-9 of the c-transform lower
+    bound a @ u + b @ v of its row duals u, which holds for any u.
     """
+    tight = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     for _ in range(count):
         n1, n2 = rng.integers(17, 101, size=2)
         a, b = rng.dirichlet(np.full(n1, alpha)), rng.dirichlet(np.full(n2, alpha))
@@ -866,13 +876,13 @@ def priced_problems(rng, alpha, count):
         cells = np.arange(n1 * n2)
         rows = np.concatenate([cells // n2, n1 + cells % n2])
         a_eq = coo_matrix((np.ones(2 * len(cells)), (rows, np.tile(cells, 2))))
-        ref = linprog(
-            cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
-            method="highs-ds", options={"presolve": False},
-        )
+        b_eq = np.concatenate([a, b])
+        ref = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs-ds", options=tight)
         assert ref.success
+        assert np.abs(a_eq @ ref.x - b_eq).max() <= measures.MARGINAL_TOL
         u = ref.eqlin.marginals[:n1]
-        yield a, b, cost, ref.fun, a @ u + b @ (cost - u[:, None]).min(axis=0)
+        assert ref.fun - (a @ u + b @ (cost - u[:, None]).min(axis=0)) <= 1e-9
+        yield a, b, cost, ref.fun
 
 
 class TestPricedPath:
@@ -881,29 +891,20 @@ class TestPricedPath:
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
     def test_random_degenerate_problems_against_the_dense_lp(self, monkeypatch, alpha):
         solves = recording_highs(monkeypatch)
-        for a, b, cost, ref, lower in priced_problems(np.random.default_rng(2027), alpha, 100):
+        repaired, real = [], measures._round_to_marginals
+        monkeypatch.setattr(
+            measures, "_round_to_marginals", lambda *args: repaired.append(args) or real(*args)
+        )
+        for a, b, cost, ref in priced_problems(np.random.default_rng(2027), alpha, 100):
             res = w1_distance(a, b, cost)
             assert np.abs(res.plan.sum(axis=1) - a).max() <= measures.MARGINAL_TOL
             assert np.abs(res.plan.sum(axis=0) - b).max() <= measures.MARGINAL_TOL
-            assert res.value >= lower - 1e-9  # never below the optimum
-            if alpha == 1.0:
-                assert abs(res.value - ref) <= 1e-9
-            else:  # see the xfail below: optimal only to HiGHS's 1e-7 dual tolerance
-                assert res.value <= ref + 1e-6
+            assert abs(res.value - ref) <= 1e-9
+        assert not repaired  # every plan met its marginals as HiGHS returned it
         assert len(solves) == 100 and sum(priced for priced, _ in solves) >= 95
-        (name, devex), = measures._DEVEX
         for priced, options in solves:
-            assert (options.get(name) == devex) == priced
+            assert all((options.get(name) == setting) == priced for name, setting in measures._PRICED)
             assert options["presolve"] == "off"
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="with Dirichlet(0.1) masses a plan can be above the optimum by up to 4e-7, "
-        "within HiGHS's 1e-7 dual feasibility on the LP's own cells, Devex or not",
-    )
-    def test_sparse_masses_within_1e_9_of_the_dense_lp(self):
-        for a, b, cost, ref, _ in priced_problems(np.random.default_rng(2027), 0.1, 100):
-            assert abs(w1_distance(a, b, cost).value - ref) <= 1e-9
 
     def test_unpriced_solves_keep_linprogs_options(self, monkeypatch):
         rng = np.random.default_rng(2028)
