@@ -865,7 +865,11 @@ def priced_problems(rng, alpha, count):
     ``MARGINAL_TOL`` and its value is within 1e-9 of the c-transform lower
     bound a @ u + b @ v of its row duals u, which holds for any u.
     """
-    tight = {"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    tight = {
+        "presolve": False,
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
     for _ in range(count):
         n1, n2 = rng.integers(17, 101, size=2)
         a, b = rng.dirichlet(np.full(n1, alpha)), rng.dirichlet(np.full(n2, alpha))
@@ -903,7 +907,8 @@ class TestPricedPath:
         assert not repaired  # every plan met its marginals as HiGHS returned it
         assert len(solves) == 100 and sum(priced for priced, _ in solves) >= 95
         for priced, options in solves:
-            assert all((options.get(name) == setting) == priced for name, setting in measures._PRICED)
+            for name, setting in measures._PRICED:
+                assert (options.get(name) == setting) == priced
             assert options["presolve"] == "off"
 
     def test_unpriced_solves_keep_linprogs_options(self, monkeypatch):
