@@ -37,15 +37,15 @@ from .specification import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     CouplingResult,
-    FiniteMeasure,
     MarkovMeasure,
     PeriodicOrbitMeasure,
     empirical_measure,
     ergodic_measures_of_graph,
     hausdorff_distance,
+    pi_bar_matrices,
     pi_bar_periodic,
     rho_bar_markov_upper,
-    rho_bar_periodic,
+    rho_bar_matrices,
     sigmund_approximation,
     w1_distance,
     weakstar_proxy,

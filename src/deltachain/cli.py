@@ -25,7 +25,7 @@ from .core import (
     FiniteTrajectory, IntervalSegment, _object, _read_json, _under, load_system, system_to_dict,
 )
 from .errors import DeltachainError, NotMixing, SchemaError, SizeOverflow
-from .measures import _rho_bar_matrices, ergodic_measures_of_graph, pi_bar_matrices
+from .measures import ergodic_measures_of_graph, pi_bar_matrices, rho_bar_matrices
 from .pipeline import density_demo, emit_report, load_config, run_pipeline
 from .shadowing import besicovitch_pi, besicovitch_rho, hat_rho
 from .specification import SpacedSpecification, trace_specification, verify_trace
@@ -157,7 +157,7 @@ def _cmd_distances(args):
         while lo < n:
             hi = min(n, lo + max(1, _DISTANCE_PAIRS // max(1, n - lo - 1)))
             rows, rest = measures[lo:hi], measures[lo + 1 :]
-            rho = _rho_bar_matrices(rows, rest, system.dist)[0]
+            rho = rho_bar_matrices(rows, rest, system.dist)[0]
             pi = pi_bar_matrices(rows, rest, system, args.radius)[0]
             for r, i in enumerate(range(lo, hi)):
                 js = range(i + 1, n)
@@ -211,7 +211,7 @@ def build_parser():
     p.add_argument("--y", required=True)
     p.add_argument("--variant", choices=["rho", "pi", "hat"], default="rho")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--radius", type=int, default=8)
+    p.add_argument("--radius", type=_radius, default=8)
     p.set_defaults(func=_cmd_besicovitch)
 
     p = sub.add_parser("trace-spec", help="periodic gluing of spaced segments")

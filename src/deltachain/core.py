@@ -319,6 +319,11 @@ def _pi_values(sys, x, y, lo, hi, radius):
     return np.where(values > tail + TOL, values, tail), tail
 
 
+def _is_level(x):
+    """0 < x <= 1 with a finite 1/x: the rule for an eps or delta whose 1/x sizes a window or margin."""
+    return 0.0 < x <= 1.0 and bool(np.isfinite(1.0 / float(x)))
+
+
 def window_radius(eps):
     """Largest |k| that condition (|k|+1 <= max(1, 1/eps)) admits."""
     return int(max(1.0, 1.0 / eps) + TOL) - 1

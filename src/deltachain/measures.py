@@ -62,6 +62,7 @@ from .errors import (
     Infeasible,
     NotMixing,
     SchemaError,
+    SizeOverflow,
     SolverIterationCap,
 )
 
@@ -69,6 +70,7 @@ MARGINAL_TOL = 1e-9
 _GATHER_FLOATS = 1 << 21  # floats one _phase_scan chunk may hold at once, ids included (16 MB)
 _FRONTIER_CELLS = 1 << 18  # bound on one simple_cycle_words block (2 MB of ids)
 _SHORTLIST = 16  # cheapest cells per row and per column a large transport block starts on
+_MAX_WORD = 1 << 20  # letters of one glued sigmund_approximation word
 _SIMPLEX = _highs.simplex_constants
 _PRIMAL = int(_SIMPLEX.SimplexStrategy.kSimplexStrategyPrimal)
 # linprog(method="highs", options={"presolve": False})'s options away from HiGHS's defaults
@@ -83,22 +85,6 @@ _PRICED = (
     ("simplex_dual_edge_weight_strategy", int(_SIMPLEX.kSimplexEdgeWeightStrategyDevex)),
     ("primal_feasibility_tolerance", 1e-10),
 )
-
-
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """A probability vector over point ids."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if np.any(w < -MARGINAL_TOL):
-            raise SchemaError("/weights", "negative weight")
-        if abs(float(np.sum(w)) - 1.0) > MARGINAL_TOL:
-            raise SchemaError("/weights", "weights must sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 def _primitive_root(word):
@@ -427,7 +413,7 @@ def w1_distance(mu, nu, cost):
     (1e-10 when priced).  A plan that misses a marginal by more than 1e-9
     is repaired onto both, and the repaired plan is what gets checked.
     """
-    a, b = (np.asarray(getattr(m, "weights", m), dtype=float) for m in (mu, nu))
+    a, b = (np.asarray(m, dtype=float) for m in (mu, nu))
     return _transport_lps([(a, b, np.asarray(cost, dtype=float))])[0]
 
 
@@ -495,29 +481,16 @@ def _phase_scan(set_a, set_b, cost, radius, tail):
     return value, phase, aligned
 
 
-def _rho_bar_matrices(set_a, set_b, cost):
-    """rho_bar between every orbit of ``set_a`` and every orbit of ``set_b``.
+def rho_bar_matrices(set_a, set_b, cost):
+    """rho_bar between every orbit of ``set_a`` and every orbit of ``set_b``, exactly.
 
-    :func:`_phase_scan` at radius 0 with tail -inf: each term is the
-    coordinate cost e(s) itself, with no truncation weight, so costs above 1
-    count in full.
+    The infimum over joinings is attained at an ergodic joining, and those of
+    two orbit measures are uniform on product orbits, one per phase modulo the
+    gcd of the periods: each value is the best phase-aligned average cost
+    (checked against an LP over orbit couplings in the tests), costs above 1
+    counting in full.  Returns the value, its phase and the phase-0 average.
     """
     return _phase_scan(set_a, set_b, np.asarray(cost, dtype=float), 0, -math.inf)
-
-
-def rho_bar_periodic(pm, qm, cost):
-    """d-bar-type distance between two periodic-orbit measures, exactly.
-
-    Ergodic joinings of two periodic-orbit measures are the uniform measures
-    on product orbits, indexed by a phase modulo gcd of the periods, and the
-    infimum over the joining simplex is attained at an ergodic extreme point.
-    Hence the value is the best phase-aligned average cost.  (The phase
-    formula is cross-checked against a brute-force LP over orbit couplings in
-    the test suite.)  The singleton case of the phase scan behind
-    :func:`pi_bar_matrices`.  Returns (value, best phase).
-    """
-    value, phase, _ = _rho_bar_matrices([pm], [qm], cost)
-    return float(value[0, 0]), int(phase[0, 0])
 
 
 def pi_bar_matrices(set_a, set_b, sys, radius):
@@ -686,7 +659,8 @@ def sigmund_approximation(target, g, block_scale):
     times; consecutive component blocks (cyclically) are joined by
     connecting chains of length M, the mixing constant of the graph.  The
     result is a valid cyclic delta-chain whose empirical statistics approach
-    the target mixture as the block scale L grows.
+    the target mixture as the block scale L grows.  A word over ``_MAX_WORD``
+    letters raises :class:`SizeOverflow` before it is built.
     """
     components = list(target)
     if not components:
@@ -707,6 +681,9 @@ def sigmund_approximation(target, g, block_scale):
     m = g.certificate.mixing_constant
     if m is None:
         raise NotMixing("gluing mixture components requires a primitive graph")
+    length = sum(r * pm.period for (pm, _), r in zip(components, reps)) + len(reps) * (m - 1)
+    if length > _MAX_WORD:
+        raise SizeOverflow(f"the word at L={block_scale} has {length} letters, over {_MAX_WORD}")
     blocks = [list(pm.word) * r for (pm, _), r in zip(components, reps)]
     return PeriodicOrbitMeasure(tuple(_glue(g, blocks, [m] * len(blocks))))
 
@@ -764,20 +741,3 @@ def weakstar_proxy(cyl_a, cyl_b, depth, sys):
     """
     return weakstar_proxies([(cyl_a, cyl_b)], depth, sys)[0]
 
-
-def pi_bar_mixture_upper(mix_a, mix_b, sys, radius):
-    """Convexity upper bound on the product-metric d-bar between mixtures.
-
-    A product of component joinings weighted by both mixtures is itself a
-    joining, so the weighted sum of pairwise periodic values bounds the
-    mixture distance from above.  When ``mix_a`` is one orbit the bound is
-    exact: a joining of a periodic orbit with sum w_i A_i splits into joinings
-    with each A_i, so the value equals the infimum over joinings of the same
-    tail-raised per-shift cost (checked against an LP over invariant couplings).
-    """
-    mix_a, mix_b = list(mix_a), list(mix_b)
-    value, _, _ = pi_bar_matrices([pm for pm, _ in mix_a], [qm for qm, _ in mix_b], sys, radius)
-    wa, wb = (np.array([w for _, w in mix], dtype=float) for mix in (mix_a, mix_b))
-    # the pairwise products and the running sum of the component loop, in its order
-    terms = (wa[:, None] * wb[None, :] * value).ravel()
-    return float(np.cumsum(np.concatenate([[0.0], terms]))[-1])

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .builders import BUILTIN_SYSTEMS
 from .chain import build_chain_graph, mixing_certificate
-from .core import _check_type, _object, _read_json, _under, load_system, system_from_dict
-from .errors import DegenerateWeights, NotMixing, SchemaError
+from .core import _check_type, _is_level, _object, _read_json, _under, load_system, system_from_dict
+from .errors import DegenerateWeights, NotMixing, SchemaError, SizeOverflow
 from .measures import (
     MARGINAL_TOL,
     PeriodicOrbitMeasure,
@@ -27,7 +27,6 @@ from .measures import (
     empirical_measure,
     mixture_cylinders,
     pi_bar_matrices,
-    pi_bar_mixture_upper,
     sigmund_approximation,
     simple_cycle_words,
     weakstar_proxies,
@@ -64,8 +63,8 @@ class PipelineConfig:
             if value is not None and value < low:
                 raise SchemaError(f"/{name}", f"must be >= {low}")
         for i, eps in enumerate(self.eps_list):
-            if not 0 < eps <= 1:
-                raise SchemaError(f"/eps_list/{i}", "must lie in (0, 1]")
+            if not _is_level(eps):
+                raise SchemaError(f"/eps_list/{i}", "must lie in (0, 1] with a finite reciprocal")
         for i, scale in enumerate(self.block_scales):
             if scale < 1:
                 raise SchemaError(f"/block_scales/{i}", "must be >= 1")
@@ -231,13 +230,13 @@ def run_pipeline(cfg):
         graph = levels[level - 1][0] if level <= cfg.n_max else None
         try:
             report.density = density_demo(cfg, level, sys=sys, graph=graph)
-        except (NotMixing, DegenerateWeights, SchemaError) as exc:
+        except (NotMixing, DegenerateWeights, SchemaError, SizeOverflow) as exc:
             report.errors.append({"stage": "density_demo", "reason": str(exc)})
     return report
 
 
 def density_demo(cfg, level, sys=None, graph=None):
-    """Distance-to-target table of the gluing approximant across block scales."""
+    """Distance-to-target table of the gluing approximant, from one weak* LP and one pi_bar call."""
     if level < 1:
         raise SchemaError("/density_level", "level must be >= 1")
     if sys is None:
@@ -259,14 +258,18 @@ def density_demo(cfg, level, sys=None, graph=None):
     approxes = [sigmund_approximation(target, graph, scale) for scale in cfg.block_scales]
     pairs = [(empirical_measure(approx, cfg.cylinder_depth), target_cyl) for approx in approxes]
     proxies = weakstar_proxies(pairs, cfg.cylinder_depth, sys)
+    # a joining of one orbit with sum w_i A_i splits into joinings with each A_i,
+    # so the weighted sum of a row of pi_bar values, added left to right, is exact
+    value, _, _ = pi_bar_matrices(approxes, [pm for pm, _ in target], sys, cfg.pi_radius)
+    uppers = np.cumsum(value * [w for _, w in target], axis=1)[:, -1]
     rows = [
         {
             "block_scale": scale,
             "approx_period": approx.period,
             "weakstar_proxy": proxy,
-            "pi_bar_upper": pi_bar_mixture_upper([(approx, 1.0)], target, sys, cfg.pi_radius),
+            "pi_bar_upper": float(upper),
         }
-        for scale, approx, proxy in zip(cfg.block_scales, approxes, proxies)
+        for scale, approx, proxy, upper in zip(cfg.block_scales, approxes, proxies, uppers)
     ]
     return {"level": level, "rows": rows}
 

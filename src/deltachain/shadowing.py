@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TOL, _coordinate_distances, _pi_values, _windows_within, window_radius
+from .core import TOL, _coordinate_distances, _is_level, _pi_values, _windows_within, window_radius
 from .errors import BadHorizon
 
 
@@ -86,8 +86,8 @@ def equivalence_bound_check(x, y, sys, N, delta):
     """
     if N < 1:
         raise BadHorizon("horizon must be >= 1")
-    if not 0.0 < delta <= 1.0:
-        raise BadHorizon("delta must lie in (0, 1]")
+    if not _is_level(delta):
+        raise BadHorizon("delta must lie in (0, 1] with a finite reciprocal")
     n_d = window_radius(delta)
     delta_prime = delta / (2 * n_d + 1)
     # pi(S^k .) >= delta iff some coordinate within n_d of k has rho >= delta

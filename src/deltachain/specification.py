@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _glue, is_delta_chain
-from .core import FiniteTrajectory, _point_ids, _windows_within
+from .core import FiniteTrajectory, _is_level, _point_ids, _windows_within
 from .errors import (
     InsufficientMargin,
     InsufficientSpacing,
@@ -77,8 +77,8 @@ class PeriodicChain:
 
 def spacing_constant(eps, cert):
     """The margin half-width N = ceil(1/eps) and gluing gap k = 2N - 2 + M."""
-    if not 0.0 < eps <= 1.0:
-        raise SchemaError("/eps", "eps must lie in (0, 1]")
+    if not _is_level(eps):
+        raise SchemaError("/eps", "eps must lie in (0, 1] with a finite reciprocal")
     if cert.mixing_constant is None:
         raise NotMixing("spacing constant requires a primitive chain graph")
     n_margin = int(np.ceil(1.0 / eps - 1e-12))

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from deltachain.measures import FiniteMeasure, MarkovMeasure
+from deltachain.measures import MarkovMeasure
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
@@ -20,5 +20,5 @@ def from_periodic(pm):
 
 
 def length_one_marginal(pm, n_points):
-    """The measure that a periodic orbit measure gives each of ``n_points`` points."""
-    return FiniteMeasure(np.bincount(pm.word, minlength=n_points) / pm.period)
+    """The probability vector that a periodic orbit measure gives ``n_points`` points."""
+    return np.bincount(pm.word, minlength=n_points) / pm.period

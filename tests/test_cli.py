@@ -7,7 +7,7 @@ from deltachain import cli
 from deltachain.chain import build_chain_graph
 from deltachain.cli import main
 from deltachain.core import FiniteTrajectory, load_system
-from deltachain.measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_periodic
+from deltachain.measures import ergodic_measures_of_graph, pi_bar_periodic, rho_bar_matrices
 from deltachain.shadowing import besicovitch_pi, hat_rho
 
 
@@ -198,7 +198,7 @@ class TestDistances:
         expected = ["i,j,rho_bar,pi_bar"]
         for i, a in enumerate(orbits):
             for j in range(i + 1, len(orbits)):
-                rho_val, _ = rho_bar_periodic(a, orbits[j], system.dist)
+                rho_val = float(rho_bar_matrices([a], [orbits[j]], system.dist)[0][0, 0])
                 pi_val, _, _ = pi_bar_periodic(a, orbits[j], system, 5)
                 expected.append(f"{i},{j},{rho_val!r},{pi_val!r}")
         assert len(orbits) > 20
@@ -381,6 +381,27 @@ class TestInputValidation:
         args = ["distances", "--system", grid15_file, "--delta", "0.2", "--period-cap", "2"]
         assert main(args + [flag, "-1", "--out", str(out)]) == 2
         assert f"schema error: /{flag[2:]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["rho", "pi", "hat"])
+    def test_besicovitch_negative_radius(self, grid15_file, tmp_path, capsys, variant):
+        # exit 1 after loading every file under pi; ignored under rho and hat
+        (tmp_path / "x.json").write_text(json.dumps({"entries": [0, 1, 2, 3]}))
+        args = ["besicovitch", "--system", grid15_file, "--horizon", "2", "--variant", variant]
+        args += ["--x", str(tmp_path / "x.json"), "--y", str(tmp_path / "x.json")]
+        assert main(args + ["--radius", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "schema error: /radius:" in err
+
+    def test_trace_spec_subnormal_eps_writes_nothing(self, grid15_file, tmp_path, capsys):
+        # 1 / eps is inf: an OverflowError at the spacing constant
+        spec, out = tmp_path / "spec.json", tmp_path / "trace.json"
+        source = {"entries": [0] * 6, "origin": 1}
+        spec.write_text(json.dumps({"segments": [{"a": 0, "b": 3, "source": source}]}))
+        args = ["trace-spec", "--system", grid15_file, "--delta", "0.2", "--spec", str(spec)]
+        assert main(args + ["--eps", "1e-320", "--emit", str(out)]) == 2
+        assert "schema error: /eps:" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--eps", "0.5", "--emit", str(out)]) == 0
 
     def test_distances_negative_radius_writes_no_file(self, grid15_file, tmp_path, capsys):
         out = tmp_path / "d.csv"

@@ -182,7 +182,7 @@ class TestWindowCheck:
                 if exact:
                     assert value < eps
 
-    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, float("nan"), 1e-320])
     def test_eps_outside_unit_interval(self, eps):
         # eps is checked where it enters: the gluing's spacing constant
         cert = mixing_certificate(build_chain_graph(circle_doubling(4), 0.5))

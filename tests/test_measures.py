@@ -9,13 +9,13 @@ from scipy.optimize import linprog
 from scipy.sparse import block_diag, coo_matrix, csc_matrix, vstack
 
 from conftest import from_periodic, length_one_marginal
+import deltachain
 from deltachain import measures
 from deltachain.builders import circle_doubling, random_metric
 from deltachain.chain import build_chain_graph, is_delta_chain
 from deltachain.core import TOL, FiniteMetricSystem, FiniteTrajectory
-from deltachain.errors import DegenerateWeights, EmptySet, Infeasible, SchemaError
+from deltachain.errors import DegenerateWeights, EmptySet, Infeasible, SchemaError, SizeOverflow
 from deltachain.measures import (
-    FiniteMeasure,
     MarkovMeasure,
     PeriodicOrbitMeasure,
     empirical_measure,
@@ -23,16 +23,16 @@ from deltachain.measures import (
     hausdorff_distance,
     mixture_cylinders,
     pi_bar_matrices,
-    pi_bar_mixture_upper,
     pi_bar_periodic,
     rho_bar_markov_upper,
-    rho_bar_periodic,
+    rho_bar_matrices,
     sigmund_approximation,
     simple_cycle_words,
     w1_distance,
     weakstar_proxies,
     weakstar_proxy,
 )
+from deltachain.pipeline import config_from_dict, density_demo
 
 
 def orbit_coupling_lp(wp, wq, cost):
@@ -83,20 +83,6 @@ def orbit_coupling_lp(wp, wq, cost):
     return float(res.fun)
 
 
-class TestFiniteMeasure:
-    def test_accepts_probability_vector(self):
-        m = FiniteMeasure([0.25, 0.75])
-        assert m.weights.sum() == 1.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(SchemaError):
-            FiniteMeasure([1.5, -0.5])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(SchemaError):
-            FiniteMeasure([0.5, 0.6])
-
-
 class TestPeriodicOrbitMeasure:
     def test_canonical_primitive(self):
         assert PeriodicOrbitMeasure((0, 1, 0, 1)).word == (0, 1)
@@ -112,7 +98,7 @@ class TestPeriodicOrbitMeasure:
     def test_length_one_marginal(self):
         m = PeriodicOrbitMeasure((0, 0, 2))
         marg = length_one_marginal(m, 4)
-        assert marg.weights.tolist() == pytest.approx([2 / 3, 0.0, 1 / 3, 0.0])
+        assert marg.tolist() == pytest.approx([2 / 3, 0.0, 1 / 3, 0.0])
 
     def test_fast_path_matches_canonical_form(self):
         rng = np.random.default_rng(31)
@@ -926,19 +912,25 @@ class TestPricedPath:
 
 
 class TestRhoBarPeriodic:
+    """rho_bar_matrices on one pair of periodic orbits: a 1 x 1 slice, value and phase."""
+
+    def test_exported_next_to_pi_bar_matrices(self):
+        assert deltachain.rho_bar_matrices is rho_bar_matrices
+        assert deltachain.pi_bar_matrices is pi_bar_matrices
+
     def test_two_symbol_example(self):
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-        value, phase = rho_bar_periodic(
-            PeriodicOrbitMeasure((0, 1)), PeriodicOrbitMeasure((0, 0, 1)), cost
+        value, phase, _ = rho_bar_matrices(
+            [PeriodicOrbitMeasure((0, 1))], [PeriodicOrbitMeasure((0, 0, 1))], cost
         )
-        assert value == pytest.approx(0.5)
-        assert phase == 0
+        assert value[0, 0] == pytest.approx(0.5)
+        assert phase[0, 0] == 0
 
     def test_equal_orbits_zero(self):
         sys = circle_doubling(8)
         pm = PeriodicOrbitMeasure((1, 2, 4))
-        value, _ = rho_bar_periodic(pm, pm, sys.dist)
-        assert value == 0.0
+        value, _, _ = rho_bar_matrices([pm], [pm], sys.dist)
+        assert value[0, 0] == 0.0
 
     def test_matches_coupling_lp_random(self):
         sys = random_metric(5, seed=7)
@@ -949,18 +941,18 @@ class TestRhoBarPeriodic:
             wp = tuple(int(v) for v in rng.integers(0, 5, p))
             wq = tuple(int(v) for v in rng.integers(0, 5, q))
             pm, qm = PeriodicOrbitMeasure(wp), PeriodicOrbitMeasure(wq)
-            value, _ = rho_bar_periodic(pm, qm, sys.dist)
+            value, _, _ = rho_bar_matrices([pm], [qm], sys.dist)
             oracle = orbit_coupling_lp(pm.word, qm.word, sys.dist)
-            assert value == pytest.approx(oracle, abs=1e-9)
+            assert value[0, 0] == pytest.approx(oracle, abs=1e-9)
 
     def test_triangle_inequality(self):
         sys = random_metric(4, seed=11)
         words = [(0,), (1, 2), (0, 3), (2, 2, 3), (1,)]
         ms = [PeriodicOrbitMeasure(w) for w in words]
         for a, b, c in itertools.permutations(ms, 3):
-            ab, _ = rho_bar_periodic(a, b, sys.dist)
-            bc, _ = rho_bar_periodic(b, c, sys.dist)
-            ac, _ = rho_bar_periodic(a, c, sys.dist)
+            ab = rho_bar_matrices([a], [b], sys.dist)[0][0, 0]
+            bc = rho_bar_matrices([b], [c], sys.dist)[0][0, 0]
+            ac = rho_bar_matrices([a], [c], sys.dist)[0][0, 0]
             assert ac <= ab + bc + 1e-12
 
 
@@ -987,7 +979,7 @@ class TestPiBarPeriodic:
             wp = tuple(int(v) for v in rng.integers(0, 6, int(rng.integers(1, 5))))
             wq = tuple(int(v) for v in rng.integers(0, 6, int(rng.integers(1, 5))))
             pm, qm = PeriodicOrbitMeasure(wp), PeriodicOrbitMeasure(wq)
-            rho_val, _ = rho_bar_periodic(pm, qm, sys.dist)
+            rho_val = rho_bar_matrices([pm], [qm], sys.dist)[0][0, 0]
             pi_val, _, _ = pi_bar_periodic(pm, qm, sys, 8)
             assert pi_val >= rho_val - 1e-12
 
@@ -1162,7 +1154,7 @@ def full_window_rho_bar(set_a, set_b, cost):
 
 
 class TestCostSequenceKernel:
-    """pi_bar_matrices and _rho_bar_matrices against the full-window scan, bit for bit."""
+    """pi_bar_matrices and rho_bar_matrices against the full-window scan, bit for bit."""
 
     @staticmethod
     def orbits(rng, letters, periods, count):
@@ -1214,7 +1206,7 @@ class TestCostSequenceKernel:
         rng = np.random.default_rng(len(periods))
         cost = 3.0 * rng.random((8, 8))
         set_a, set_b = (self.orbits(rng, 8, periods, count) for count in (12, 10))
-        got = measures._rho_bar_matrices(set_a, set_b, cost)
+        got = rho_bar_matrices(set_a, set_b, cost)
         self.assert_same(got, full_window_rho_bar(set_a, set_b, cost))
         assert got[0].max() > 1.0
 
@@ -1247,7 +1239,7 @@ class TestRhoBarMarkovUpper:
             nu = from_periodic(qm)
             cost = sys.dist[np.array(pm.word)[:, None], np.array(qm.word)[None, :]]
             res = rho_bar_markov_upper(mu, nu, cost)
-            value, _ = rho_bar_periodic(pm, qm, sys.dist)
+            value = rho_bar_matrices([pm], [qm], sys.dist)[0][0, 0]
             assert res.value == pytest.approx(value, abs=1e-9)
 
     def test_lower_bound_below_value(self):
@@ -1614,10 +1606,23 @@ class TestSigmund:
         gaps = []
         for L in (16, 64, 256):
             approx = sigmund_approximation(target, g, L)
-            got = length_one_marginal(approx, 15).weights
+            got = length_one_marginal(approx, 15)
             gaps.append(float(np.abs(got - want).sum()))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.05
+
+    def test_word_over_the_size_bound_raises_before_it_is_built(self, monkeypatch):
+        g = build_chain_graph(circle_doubling(15), 0.2)
+        target = [(PeriodicOrbitMeasure((0,)), 0.5), (PeriodicOrbitMeasure((5, 10)), 0.5)]
+        with pytest.raises(SizeOverflow):
+            sigmund_approximation(target, g, 10**12)  # MemoryError at the repeated blocks
+        # the bound counts the glued word's letters: a primitive word of exactly that length passes
+        approx = sigmund_approximation(target, g, 64)
+        monkeypatch.setattr(measures, "_MAX_WORD", approx.period)
+        assert sigmund_approximation(target, g, 64) == approx
+        monkeypatch.setattr(measures, "_MAX_WORD", approx.period - 1)
+        with pytest.raises(SizeOverflow):
+            sigmund_approximation(target, g, 64)
 
     def test_degenerate_weight_raises(self):
         g = build_chain_graph(circle_doubling(15), 0.2)
@@ -1727,7 +1732,17 @@ def orbit_mixture_joining_lp(word, target, sys, radius):
     return float(res.fun)
 
 
+def density_rows(words, weights, block_scales, radius):
+    """density_demo's rows for a target mixture on circle_doubling(15) at level 5 (delta 0.2)."""
+    target = [{"word": list(w), "weight": wt} for w, wt in zip(words, weights)]
+    system = {"builtin": "circle-doubling", "n": 15}
+    data = {"system": system, "target": target, "block_scales": block_scales, "pi_radius": radius}
+    return density_demo(config_from_dict(data), 5)["rows"]
+
+
 class TestPiBarMixture:
+    """density_demo's pi_bar_upper column: one orbit against the target mixture."""
+
     @pytest.mark.parametrize("radius", [8, 4])
     @pytest.mark.parametrize("block_scale", [8, 16, 32, 64])
     @pytest.mark.parametrize("words", [[(0,), (5, 10)], [(0,), (5, 10), (1, 2, 4, 8)]])
@@ -1738,24 +1753,23 @@ class TestPiBarMixture:
         weights = [0.5, 0.5] if len(words) == 2 else [0.25, 0.25, 0.5]
         target = [(PeriodicOrbitMeasure(w), wt) for w, wt in zip(words, weights)]
         approx = sigmund_approximation(target, graph, block_scale)
-        upper = pi_bar_mixture_upper([(approx, 1.0)], target, sys, radius)
+        (row,) = density_rows(words, weights, [block_scale], radius)
+        assert row["approx_period"] == approx.period
         exact = orbit_mixture_joining_lp(approx.word, target, sys, radius)
-        assert upper == pytest.approx(exact, abs=1e-12)
+        assert row["pi_bar_upper"] == pytest.approx(exact, abs=1e-12)
 
     def test_trivial_mixture_equals_pairwise(self):
-        sys = circle_doubling(4)
-        pm = PeriodicOrbitMeasure((0,))
-        qm = PeriodicOrbitMeasure((2,))
-        upper = pi_bar_mixture_upper([(pm, 1.0)], [(qm, 1.0)], sys, 8)
-        value, _, _ = pi_bar_periodic(pm, qm, sys, 8)
-        assert upper == pytest.approx(value)
+        # a one-orbit target is its own approximant at every scale
+        pm = PeriodicOrbitMeasure((5, 10))
+        value, _, _ = pi_bar_periodic(pm, pm, circle_doubling(15), 8)
+        rows = density_rows([(5, 10)], [1.0], [8, 32], 8)
+        assert [row["pi_bar_upper"] for row in rows] == [value, value]
 
     def test_weighted_average(self):
-        sys = circle_doubling(4)
-        p0 = PeriodicOrbitMeasure((0,))
-        p1 = PeriodicOrbitMeasure((1,))
-        q = PeriodicOrbitMeasure((2,))
-        upper = pi_bar_mixture_upper([(p0, 0.5), (p1, 0.5)], [(q, 1.0)], sys, 8)
-        v0, _, _ = pi_bar_periodic(p0, q, sys, 8)
-        v1, _, _ = pi_bar_periodic(p1, q, sys, 8)
-        assert upper == pytest.approx(0.5 * v0 + 0.5 * v1)
+        sys = circle_doubling(15)
+        p0, p1 = PeriodicOrbitMeasure((0,)), PeriodicOrbitMeasure((5, 10))
+        approx = sigmund_approximation([(p0, 0.5), (p1, 0.5)], build_chain_graph(sys, 0.2), 16)
+        (row,) = density_rows([(0,), (5, 10)], [0.5, 0.5], [16], 8)
+        v0, _, _ = pi_bar_periodic(approx, p0, sys, 8)
+        v1, _, _ = pi_bar_periodic(approx, p1, sys, 8)
+        assert row["pi_bar_upper"] == pytest.approx(0.5 * v0 + 0.5 * v1)

@@ -419,6 +419,36 @@ class TestDensityTableLP:
         assert density_demo(self.target_config(block_scales=[]), 5) == {"level": 5, "rows": []}
         assert calls == []
 
+    def test_two_kernel_calls_per_analyze_op(self, monkeypatch, tmp_path):
+        # the cross-level table and the density column; each density row was its own call
+        calls = []
+        real = measures.pi_bar_matrices
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        for module in (measures, pipeline):
+            monkeypatch.setattr(module, "pi_bar_matrices", counting)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(ACCEPTANCE_9_CONFIG, out_dir=str(tmp_path / "out"))))
+        assert main(["analyze", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["density"]["rows"]) == 3 and len(report["cross_level"]) == 6
+        assert len(calls) == 2
+
+    def test_a_word_over_the_size_bound_is_recorded(self, tmp_path):
+        # 10^12 letters: MemoryError after every level and the cross-level table
+        data = dict(ACCEPTANCE_9_CONFIG, block_scales=[8, 10**12], out_dir=str(tmp_path / "out"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["analyze", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["levels"]) == 4 and len(report["cross_level"]) == 6
+        assert report["density"] is None
+        (error,) = report["errors"]
+        assert error["stage"] == "density_demo" and "over 1048576" in error["reason"]
+
     def test_rows_match_per_scale_proxy(self):
         cfg = self.target_config(block_scales=[8, 32, 128], cylinder_depth=3)
         table = density_demo(cfg, 5)
@@ -521,6 +551,7 @@ class TestConfigEntries:
             ("target", [{"word": [5, 10], "weight": 1.0}, {"word": [0], "weight": 0}],
              "/target/1/weight"),
             ("target", [{"word": [], "weight": 1.0}], "/target/0/word"),  # pointer was /word
+            ("eps_list", [0.5, 1e-320], "/eps_list/1"),  # OverflowError at ceil(1 / eps)
         ],
     )
     def test_rejected_at_pointer(self, field, value, pointer, tmp_path, capsys):

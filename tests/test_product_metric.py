@@ -31,10 +31,12 @@ from deltachain.measures import (
     PeriodicOrbitMeasure,
     hausdorff_distance,
     pi_bar_matrices,
-    pi_bar_mixture_upper,
     pi_bar_periodic,
-    rho_bar_periodic,
+    rho_bar_matrices,
+    sigmund_approximation,
+    simple_cycle_words,
 )
+from deltachain.pipeline import PipelineConfig, density_demo
 from deltachain.shadowing import besicovitch_pi
 from deltachain.specification import (
     PeriodicChain,
@@ -382,9 +384,10 @@ class TestRhoBarPeriodic:
                 cost = np.round(cost)  # ties between phases
             pm, qm = (PeriodicOrbitMeasure(tuple(rng.integers(0, n, int(rng.integers(1, 9)))))
                       for _ in range(2))
-            got = rho_bar_periodic(pm, qm, cost)
+            value, phase, _ = rho_bar_matrices([pm], [qm], cost)
+            assert value.dtype == float and phase.dtype == int
+            got = value[0, 0], phase[0, 0]
             assert got == loop_rho_bar_periodic(pm, qm, cost)
-            assert type(got[0]) is float and type(got[1]) is int
             above_one += got[0] > 1.0
         assert above_one > 0
 
@@ -392,7 +395,7 @@ class TestRhoBarPeriodic:
         rng = np.random.default_rng(41)
         cost = rng.random((6, 6)) * 2.0
         orbits = [PeriodicOrbitMeasure(tuple(rng.integers(0, 6, p))) for p in (1, 2, 3, 4, 6, 6)]
-        value, phase, _ = measures._rho_bar_matrices(orbits, orbits, cost)
+        value, phase, _ = rho_bar_matrices(orbits, orbits, cost)
         for i, pm in enumerate(orbits):
             for j, qm in enumerate(orbits):
                 assert (value[i, j], phase[i, j]) == loop_rho_bar_periodic(pm, qm, cost)
@@ -400,20 +403,27 @@ class TestRhoBarPeriodic:
 
 class TestMixtureAndHausdorff:
     def test_mixture_upper_equals_the_singleton_loop(self):
+        # density_demo's pi_bar_upper column, bit for bit
         sys = circle_doubling(15)
+        graph = build_chain_graph(sys, 0.2)
+        cycles = [tuple(w) for arr in simple_cycle_words(graph.adjacency, 4, 10_000)[0]
+                  for w in arr.tolist()]
         rng = np.random.default_rng(50)
         for _ in range(40):
-            mixes = []
-            for _ in range(2):
-                m = int(rng.integers(1, 5))
-                w = rng.random(m) + 0.1
-                words = [tuple(rng.integers(0, 15, int(rng.integers(1, 6)))) for _ in range(m)]
-                weights = (w / w.sum()).tolist()
-                mixes.append([(PeriodicOrbitMeasure(wd), wt) for wd, wt in zip(words, weights)])
+            m = int(rng.integers(1, 5))
+            w = rng.random(m) + 0.1
+            words = [cycles[k] for k in rng.choice(len(cycles), m, replace=False)]
+            weights = (w / w.sum()).tolist()
+            target = [(PeriodicOrbitMeasure(wd), wt) for wd, wt in zip(words, weights)]
             radius = int(rng.integers(0, 7))
-            got = pi_bar_mixture_upper(*mixes, sys, radius)
-            assert got == loop_pi_bar_mixture_upper(*mixes, sys, radius)
-            assert type(got) is float
+            cfg = PipelineConfig(system={"builtin": "circle-doubling", "n": 15}, pi_radius=radius,
+                                 target=tuple(zip(words, weights)), block_scales=(64, 96, 128))
+            rows = density_demo(cfg, 5, sys=sys, graph=graph)["rows"]
+            for row in rows:
+                approx = sigmund_approximation(target, graph, row["block_scale"])
+                want = loop_pi_bar_mixture_upper([(approx, 1.0)], target, sys, radius)
+                assert row["pi_bar_upper"] == want
+                assert type(row["pi_bar_upper"]) is float
 
     def test_reduction_equals_the_callable_form(self):
         rng = np.random.default_rng(51)

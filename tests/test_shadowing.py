@@ -179,6 +179,8 @@ class TestEquivalenceBound:
             equivalence_bound_check(x, x, sys, 5, 0.0)
         with pytest.raises(InsufficientWindow):
             equivalence_bound_check(x, x, sys, 5, 0.1)
+        with pytest.raises(BadHorizon):  # 1 / delta is inf: an OverflowError in window_radius
+            equivalence_bound_check(x, x, sys, 5, 1e-320)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Print one sha256 per benchmark workload over the fingerprints of its first inputs.
 
-    python3 tools/output_digest.py --workload all --seed 1 --inputs 20 [--root DIR]
+    python3 tools/output_digest.py --workload all --seed 1 --inputs 40 [--root DIR]
 
 For each input 0 .. N-1 of a workload, ``DIR/perfbench/workloads.py`` makes
 the input, runs the op, checks it against its oracle and fingerprints the
